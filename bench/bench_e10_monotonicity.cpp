@@ -20,6 +20,8 @@ namespace {
 
 using namespace levy;
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint;
+
 void run(const sim::run_options& opts) {
     bench::banner("E10", "Lemma 3.9: occupancy is monotone in the Q-norm ordering",
                   "||v||_inf >= ||u||_1 implies P(J_t = u) >= P(J_t = v), all t");
@@ -79,4 +81,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E10", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E10", argc, argv, kFlags, run); }

@@ -84,6 +84,8 @@ void across_t(const sim::run_options& opts) {
               << " (paper: grows like log^2 t)\n";
 }
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint;
+
 void run(const sim::run_options& opts) {
     bench::banner("E11", "Lemma 4.13: visits to the origin, capped flight",
                   "a_t(alpha) = O(1/(3-alpha)^2) for alpha in (2,3), bounded in t; "
@@ -94,4 +96,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E11", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E11", argc, argv, kFlags, run); }

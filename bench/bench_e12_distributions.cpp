@@ -113,6 +113,8 @@ void phase_visit(const sim::run_options& opts) {
     table.print(std::cout);
 }
 
+constexpr unsigned kFlags = sim::group::monte_carlo;
+
 void run(const sim::run_options& opts) {
     bench::banner("E12", "distributional ingredients: Eq. 4, Lemma 3.2, Cor 3.6",
                   "tail exponent alpha-1; path marginals in the lemma band; per-phase "
@@ -135,4 +137,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E12", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E12", argc, argv, kFlags, run); }

@@ -29,6 +29,8 @@ double predicted_exponent(double alpha) {
     return 0.5;
 }
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint;
+
 void run(const sim::run_options& opts) {
     bench::banner("E13", "ablation: displacement scaling across regimes (basis of §1.2.1)",
                   "radius after t steps ~ t (alpha<=2), t^(1/(alpha-1)) (2<alpha<3), "
@@ -71,4 +73,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E13", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E13", argc, argv, kFlags, run); }

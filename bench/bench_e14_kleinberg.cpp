@@ -20,6 +20,8 @@ namespace {
 
 using namespace levy;
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint;
+
 void run(const sim::run_options& opts) {
     bench::banner("E14", "Kleinberg routing (related work, §2): one optimal exponent",
                   "greedy routing is fastest at beta = 2 (dimension of the lattice); "
@@ -74,4 +76,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E14", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E14", argc, argv, kFlags, run); }

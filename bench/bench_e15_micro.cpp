@@ -17,6 +17,7 @@
 #include "src/baselines/simple_random_walk.h"
 #include "src/obs/report.h"
 #include "src/obs/trace.h"
+#include "src/sim/experiment.h"
 #include "src/sim/monte_carlo.h"
 #include "src/stats/table.h"
 #include "src/core/levy_flight.h"
@@ -117,39 +118,33 @@ private:
 }  // namespace
 
 int main(int argc, char** argv) {
-    // Peel off the levy observability flags before Google Benchmark sees
-    // (and rejects) them; everything else passes through untouched.
-    std::string json_path;
-    std::string trace_path;
-    std::vector<char*> passthrough;
-    std::vector<std::pair<std::string, std::string>> options;
-    for (int i = 0; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        const auto value_of = [&](std::string_view flag) -> std::string {
-            if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-                arg[flag.size()] == '=') {
-                return std::string(arg.substr(flag.size() + 1));
-            }
-            return {};
-        };
-        if (auto v = value_of("--json"); !v.empty()) {
-            json_path = v == "-" ? std::string{} : v;
-            options.emplace_back("json", v);
-        } else if (auto d = value_of("--json-dir"); !d.empty()) {
-            if (json_path.empty()) json_path = d + "/BENCH_E15.json";
-            options.emplace_back("json-dir", d);
-        } else if (auto t = value_of("--trace"); !t.empty()) {
-            trace_path = t;
-            options.emplace_back("trace", t);
-        } else {
-            passthrough.push_back(argv[i]);
-        }
+    // Google Benchmark's own --benchmark_* flags pass through untouched;
+    // everything else goes to the shared parser, which rejects what E15
+    // does not honour.
+    std::vector<char*> levy_argv = {argv[0]};
+    std::vector<char*> passthrough = {argv[0]};
+    for (int i = 1; i < argc; ++i) {
+        const bool gbench = std::strncmp(argv[i], "--benchmark_", 12) == 0;
+        (gbench ? passthrough : levy_argv).push_back(argv[i]);
     }
+    levy::sim::run_options opts;
+    std::vector<std::pair<std::string, std::string>> options;
+    try {
+        levy::cli::args args(static_cast<int>(levy_argv.size()), levy_argv.data());
+        opts = levy::sim::parse_run_options(args, levy::sim::group::report);
+        options = args.describe();
+    } catch (const levy::cli::help_requested& help) {
+        std::cout << help.what() << "  --benchmark_*               passed to Google Benchmark\n";
+        return 0;
+    } catch (const std::exception& e) {
+        return levy::cli::exit_status(argv[0], e);
+    }
+    const std::string json_path = levy::sim::default_json_path(opts, "E15");
     int bench_argc = static_cast<int>(passthrough.size());
     benchmark::Initialize(&bench_argc, passthrough.data());
     if (benchmark::ReportUnrecognizedArguments(bench_argc, passthrough.data())) return 1;
 
-    const bool observing = !json_path.empty() || !trace_path.empty();
+    const bool observing = !json_path.empty() || !opts.trace_path.empty();
     if (observing) levy::obs::start_span_collection();
     if (!json_path.empty()) levy::obs::begin_report("E15", std::move(options));
 
@@ -169,9 +164,9 @@ int main(int argc, char** argv) {
         levy::obs::end_report();
         std::cerr << "E15: wrote " << json_path << '\n';
     }
-    if (!trace_path.empty()) {
-        levy::obs::write_chrome_trace(trace_path);
-        std::cerr << "E15: wrote " << trace_path << '\n';
+    if (!opts.trace_path.empty()) {
+        levy::obs::write_chrome_trace(opts.trace_path);
+        std::cerr << "E15: wrote " << opts.trace_path << '\n';
     }
     return 0;
 }

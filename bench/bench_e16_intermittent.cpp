@@ -37,6 +37,8 @@ cell measure(double alpha, bool intermittent, std::int64_t target_radius, std::i
     return {p.estimate()};
 }
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint;
+
 void run(const sim::run_options& opts) {
     bench::banner("E16", "ablation: intermittent sensing x target diameter (footnote 3, [18])",
                   "intermittent + large-D favors alpha = 2 uniquely; continuous sensing "
@@ -78,4 +80,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E16", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E16", argc, argv, kFlags, run); }

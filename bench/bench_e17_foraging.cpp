@@ -45,6 +45,8 @@ double collected(double alpha, bool destructive, double density, std::uint64_t s
     return stats::summarize(counts).mean();
 }
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint;
+
 void run(const sim::run_options& opts) {
     bench::banner("E17", "ablation: Levy foraging hypothesis, sparse random targets ([38], §2)",
                   "alpha ~ 2 maximizes collection of sparse revisitable targets; "
@@ -86,4 +88,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E17", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E17", argc, argv, kFlags, run); }

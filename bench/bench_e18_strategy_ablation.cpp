@@ -23,6 +23,9 @@ namespace {
 
 using namespace levy;
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint |
+                            sim::group::watchdog | sim::group::sharding;
+
 void run(const sim::run_options& opts) {
     bench::banner("E18", "ablation: randomized vs derandomized exponent diversity (Thm 1.6)",
                   "any assignment placing Theta(1/log ell) of the walks near alpha*(k,ell) "
@@ -56,7 +59,7 @@ void run(const sim::run_options& opts) {
             cfg.ell = ell;
             cfg.budget = static_cast<std::uint64_t>(48.0 * lb);
             cfg.max_steps = opts.max_trial_steps;
-            opts.apply_sharding(cfg);
+            cfg.sharding = opts.sharding;
             const auto mc = opts.mc(/*default_trials=*/60,
                                     /*salt=*/static_cast<std::uint64_t>(ell) * 8 + idx);
             const auto sample = sim::parallel_hitting_times(cfg, mc);
@@ -78,4 +81,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E18", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E18", argc, argv, kFlags, run); }

@@ -36,6 +36,8 @@ double median_search_time(double alpha, std::int64_t side, std::int64_t radius,
     return stats::median(times);
 }
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint;
+
 void run(const sim::run_options& opts) {
     bench::banner("E19", "the [18] torus setting: Cauchy search time ~ n/D (extension)",
                   "intermittent Levy search on an area-n torus finds a random diameter-D "
@@ -97,4 +99,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E19", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E19", argc, argv, kFlags, run); }

@@ -6,8 +6,10 @@
 // the log-log slope in ℓ against the predicted exponent −(3−α)
 // (the polylog factor flattens the fit slightly below the clean power law).
 
+#include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -18,6 +20,9 @@
 namespace {
 
 using namespace levy;
+
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::csv | sim::group::checkpoint |
+                            sim::group::watchdog | sim::group::engine;
 
 void run(const sim::run_options& opts) {
     bench::banner("E1", "Thm 1.1(a): super-diffusive hitting probability",
@@ -59,13 +64,20 @@ void run(const sim::run_options& opts) {
             xs.push_back(static_cast<double>(ell));
             ys.push_back(p.estimate());
         }
-        const auto fit = stats::loglog_fit(xs, ys);
-        // ± is the 95% CI of the fitted slope (residual standard error), so
-        // levyreport can tell exponent drift from sampling noise.
-        table.add_row({stats::fmt(alpha, 2), "slope", "-", "-",
-                       stats::fmt_pm(fit.slope, 1.96 * fit.slope_std_error, 3) + " (fit)",
-                       stats::fmt(-(3.0 - alpha), 3) + " (paper)",
-                       "r2=" + stats::fmt(fit.r_squared, 3)});
+        const std::string paper = stats::fmt(-(3.0 - alpha), 3) + " (paper)";
+        // The log-log fit needs two budgets with at least one hit each; at
+        // low trial counts say so instead of fitting.
+        if (std::count_if(ys.begin(), ys.end(), [](double y) { return y > 0.0; }) < 2) {
+            table.add_row({stats::fmt(alpha, 2), "slope", "-", "-", "insufficient hits", paper,
+                           "-"});
+        } else {
+            const auto fit = stats::loglog_fit(xs, ys);
+            // ± is the 95% CI of the fitted slope (residual standard error),
+            // so levyreport can tell exponent drift from sampling noise.
+            table.add_row({stats::fmt(alpha, 2), "slope", "-", "-",
+                           stats::fmt_pm(fit.slope, 1.96 * fit.slope_std_error, 3) + " (fit)",
+                           paper, "r2=" + stats::fmt(fit.r_squared, 3)});
+        }
         table.add_separator();
     }
     table.print(std::cout);
@@ -75,4 +87,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E1", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E1", argc, argv, kFlags, run); }

@@ -58,6 +58,8 @@ void sweep(const sim::run_options& opts, double alpha) {
     std::cout << '\n';
 }
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint;
+
 void run(const sim::run_options& opts) {
     bench::banner("E20", "Lemma 3.11 machinery: first passage to radius lambda",
                   "t_lambda concentrates below tau_lambda = 2 lambda^(alpha-1) log lambda; "
@@ -73,4 +75,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E20", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E20", argc, argv, kFlags, run); }

@@ -22,11 +22,13 @@ namespace {
 
 using namespace levy;
 
-void run(const sim::run_options& opts) {
+/// An exact DP: run() reads no flag group.
+constexpr unsigned kFlags = 0;
+
+void run(const sim::run_options&) {
     bench::banner("E21", "exact occupancy DP: Lemma 3.9 census, Lemma 4.13 visits, mass split",
                   "monotonicity holds exactly; E[Z0(t)] <= O(1/(3-alpha)^2); a constant "
                   "fraction of mass sits outside the near ball");
-    (void)opts;  // the DP is exact; no trials/seed knobs apply
 
     // (a) exact monotonicity census at t = 4, alpha = 2.2.
     {
@@ -89,4 +91,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E21", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E21", argc, argv, kFlags, run); }

@@ -43,6 +43,8 @@ std::int64_t advice_radius(std::int64_t ell, int bits) {
     return static_cast<std::int64_t>(radius);
 }
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint;
+
 void run(const sim::run_options& opts) {
     bench::banner("E22", "the [14] advice/time tradeoff, with the Levy strategy alongside",
                   "more advice bits -> shorter FK search (skipped warm-up epochs); the "
@@ -111,4 +113,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E22", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E22", argc, argv, kFlags, run); }

@@ -40,6 +40,8 @@ namespace {
 
 using namespace levy;
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::serving;
+
 void run(const sim::run_options& opts) {
     bench::banner("E23", "levyserve overload: shed explicitly, degrade gracefully",
                   "under offered load >> capacity: zero non-503 5xx, bounded p99 of "
@@ -47,8 +49,8 @@ void run(const sim::run_options& opts) {
 
     serve::serve_options sopts;
     sopts.workers = 2;
-    sopts.queue_capacity = opts.queue_capacity != 0 ? opts.queue_capacity : 8;
-    sopts.default_deadline_ms = opts.deadline_ms != 0 ? opts.deadline_ms : 50;
+    sopts.queue_capacity = opts.queue_capacity;
+    sopts.default_deadline_ms = opts.deadline_ms;
     sopts.steps_per_ms = 2000;
     sopts.default_trials = 16;
     sopts.seed = opts.seed;
@@ -109,6 +111,6 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E23", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E23", argc, argv, kFlags, run); }
 
 #endif  // LEVY_SERVE_HAVE_POSIX_SOCKETS

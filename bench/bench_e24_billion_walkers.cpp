@@ -40,6 +40,9 @@ std::uint64_t counter_value(const std::map<std::string, std::uint64_t>& counters
     return it == counters.end() ? 0 : it->second;
 }
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint |
+                            sim::group::watchdog | sim::group::engine | sim::group::sharding;
+
 void run(const sim::run_options& opts) {
     bench::banner("E24", "Out-of-core sharding: Thm 1.5(a) speedup past RAM",
                   "tau^k = O((ell^2/k) polylog + ell) holds unchanged when walker state "
@@ -59,10 +62,9 @@ void run(const sim::run_options& opts) {
     // Sharding defaults: exercise the out-of-core path even when the caller
     // passes no flags — a resident budget of 1/8 of the largest sweep point
     // forces real eviction. Explicit --shards/--memory-budget win.
-    sim::run_options sharded = opts;
-    if (sharded.shards <= 1 && sharded.memory_budget == 0) {
-        sharded.memory_budget =
-            ks.back() / 8 * sim::walker_block::kBytesPerWalker;
+    sim::shard_options sharding = opts.sharding;
+    if (sharding.shards <= 1 && sharding.memory_budget == 0) {
+        sharding.memory_budget = ks.back() / 8 * sim::walker_block::kBytesPerWalker;
     }
 
     stats::text_table table({"k", "alpha*", "hit rate", "cens", "median tau^k",
@@ -82,11 +84,11 @@ void run(const sim::run_options& opts) {
         cfg.max_steps = opts.max_trial_steps;
         cfg.cap = opts.cap;
         cfg.engine = opts.engine;
-        sharded.apply_sharding(cfg);
+        cfg.sharding = sharding;
         // The engine's budget/8 quantum usually finishes a hit in one
-        // residency round; a smaller default makes the reload traffic this
+        // residency round; a smaller one makes the reload traffic this
         // bench exists to measure actually appear (results are invariant).
-        if (cfg.epoch_steps == 0) cfg.epoch_steps = std::max<std::uint64_t>(1, cfg.budget / 64);
+        cfg.sharding.epoch_steps = std::max<std::uint64_t>(1, cfg.budget / 64);
 
         const auto before = obs::snapshot_metrics().counters;
         const auto mc = opts.mc(/*default_trials=*/8, /*salt=*/k);
@@ -123,4 +125,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E24", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E24", argc, argv, kFlags, run); }

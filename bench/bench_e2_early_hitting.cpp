@@ -19,6 +19,9 @@ namespace {
 
 using namespace levy;
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint |
+                            sim::group::watchdog;
+
 void run(const sim::run_options& opts) {
     bench::banner("E2", "Thm 1.1(b): early-hitting probability is quadratic in t",
                   "P(tau_alpha <= t) = O(t^2 / ell^(alpha+1)) for ell <= t << ell^(alpha-1)");
@@ -67,4 +70,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E2", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E2", argc, argv, kFlags, run); }

@@ -19,6 +19,9 @@ namespace {
 
 using namespace levy;
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint |
+                            sim::group::watchdog;
+
 void run(const sim::run_options& opts) {
     bench::banner("E3", "Thm 1.1(c): eventual-hit probability decays like ell^-(3-alpha)",
                   "P(tau_alpha < inf) = O(log ell / ell^(3-alpha))");
@@ -63,4 +66,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E3", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E3", argc, argv, kFlags, run); }

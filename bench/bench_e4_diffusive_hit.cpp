@@ -20,6 +20,9 @@ namespace {
 
 using namespace levy;
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint |
+                            sim::group::watchdog;
+
 void run(const sim::run_options& opts) {
     bench::banner("E4", "Thm 1.2: diffusive/threshold hitting is polylog-flat in ell",
                   "P(tau_alpha <= c*ell^2 log^2 ell) = Omega(1/log^4 ell) for alpha >= 3");
@@ -63,4 +66,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E4", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E4", argc, argv, kFlags, run); }

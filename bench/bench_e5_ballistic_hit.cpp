@@ -19,6 +19,9 @@ namespace {
 
 using namespace levy;
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint |
+                            sim::group::watchdog;
+
 void run(const sim::run_options& opts) {
     bench::banner("E5", "Thm 1.3: ballistic hitting decays like 1/ell",
                   "P(tau_alpha = O(ell)) = Omega(1/(ell log ell)) for alpha in (1,2]");
@@ -62,4 +65,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E5", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E5", argc, argv, kFlags, run); }

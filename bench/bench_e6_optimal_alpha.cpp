@@ -47,7 +47,7 @@ void sweep(const sim::run_options& opts, std::size_t k, std::int64_t ell,
         cfg.max_steps = opts.max_trial_steps;
         cfg.cap = opts.cap;
         cfg.engine = opts.engine;
-        opts.apply_sharding(cfg);
+        cfg.sharding = opts.sharding;
         const auto mc = opts.mc(/*default_trials=*/80,
                                 /*salt=*/static_cast<std::uint64_t>(alpha * 1000) + k);
         const auto sample = sim::parallel_hitting_times(cfg, mc);
@@ -79,6 +79,9 @@ void sweep(const sim::run_options& opts, std::size_t k, std::int64_t ell,
               << " ± O(log log ell/log ell))\n\n";
 }
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint |
+                            sim::group::watchdog | sim::group::engine | sim::group::sharding;
+
 void run(const sim::run_options& opts) {
     bench::banner("E6", "Cor 4.2: unique optimal exponent alpha* = 3 - log k/log ell",
                   "tau^k minimized only for |alpha - alpha*| = O(log log ell / log ell); "
@@ -96,4 +99,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E6", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E6", argc, argv, kFlags, run); }

@@ -22,6 +22,9 @@ namespace {
 
 using namespace levy;
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint |
+                            sim::group::watchdog | sim::group::engine | sim::group::sharding;
+
 void run(const sim::run_options& opts) {
     bench::banner("E7", "Thm 1.5(a): parallel hitting time O((ell^2/k) polylog + ell)",
                   "tau^k = O((ell^2/k) log^6 ell + ell) w.h.p. at alpha = alpha*(k, ell)");
@@ -47,7 +50,7 @@ void run(const sim::run_options& opts) {
         cfg.max_steps = opts.max_trial_steps;
         cfg.cap = opts.cap;
         cfg.engine = opts.engine;
-        opts.apply_sharding(cfg);
+        cfg.sharding = opts.sharding;
         const auto mc = opts.mc(/*default_trials=*/150, /*salt=*/k);
         const auto sample = sim::parallel_hitting_times(cfg, mc);
         const double med = stats::median(sample.times);
@@ -80,4 +83,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E7", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E7", argc, argv, kFlags, run); }

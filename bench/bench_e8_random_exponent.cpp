@@ -27,6 +27,9 @@ struct strategy_row {
     exponent_strategy strategy;
 };
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint |
+                            sim::group::watchdog | sim::group::sharding;
+
 void run(const sim::run_options& opts) {
     bench::banner("E8", "Thm 1.6: uniformly random exponents, optimal for all ell at once",
                   "tau^k_rand = O((ell^2/k) log^7 ell + ell log^3 ell) w.h.p., within "
@@ -56,7 +59,7 @@ void run(const sim::run_options& opts) {
             cfg.ell = ell;
             cfg.budget = static_cast<std::uint64_t>(48.0 * lb);
             cfg.max_steps = opts.max_trial_steps;
-            opts.apply_sharding(cfg);
+            cfg.sharding = opts.sharding;
             const auto mc = opts.mc(/*default_trials=*/50,
                                     /*salt=*/static_cast<std::uint64_t>(ell) * 10 +
                                         strategy_index);
@@ -78,4 +81,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E8", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E8", argc, argv, kFlags, run); }

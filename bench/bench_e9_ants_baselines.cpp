@@ -91,6 +91,8 @@ void compare(const sim::run_options& opts, std::size_t k, std::int64_t ell) {
     std::cout << '\n';
 }
 
+constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint;
+
 void run(const sim::run_options& opts) {
     bench::banner("E9", "ANTS comparison: uniform Levy strategy vs classical baselines",
                   "random-exponent Levy walks are within polylog of the Omega(ell^2/k + ell) "
@@ -112,4 +114,4 @@ void run(const sim::run_options& opts) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return levy::bench::run_main("E9", argc, argv, run); }
+int main(int argc, char** argv) { return levy::bench::run_main("E9", argc, argv, kFlags, run); }

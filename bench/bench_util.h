@@ -1,12 +1,12 @@
 #pragma once
 
-// Shared scaffolding for the experiment binaries (E1-E14). Each binary
-// validates one statement of the paper: it prints the claim, sweeps the
-// statement's parameters, and emits a paper-vs-measured table plus one
-// throughput line (trials/s and worker utilization on the persistent pool).
-// All binaries accept --trials/--scale/--threads/--chunk/--seed/--csv plus
-// the observability flags --json/--json-dir/--trace (see sim::run_options)
-// and run with fast defaults suitable for
+// Shared scaffolding for the experiment binaries. Each binary validates one
+// statement of the paper: it prints the claim, sweeps the statement's
+// parameters, and emits a paper-vs-measured table plus one throughput line
+// (trials/s and worker utilization on the persistent pool). Each binary
+// accepts exactly the flag groups it honours (see sim::group) plus the
+// report and telemetry groups; `<binary> --help` lists them with their
+// defaults. The defaults are fast enough for
 // `for b in build/bench/*; do $b; done`.
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/hitting.h"
@@ -52,14 +53,19 @@ inline void banner(const std::string& id, const std::string& statement,
 /// writer, the progress reporter prints a final line, and the process exits
 /// 130; rerunning with the same flags resumes and produces bit-identical
 /// output.
-inline int run_main(const std::string& id, int argc, char** argv,
+/// `groups` are the sim::group flags the body honours; the report and
+/// telemetry groups are always added, and any other flag is rejected
+/// before the body runs.
+inline int run_main(const std::string& id, int argc, char** argv, unsigned groups,
                     const std::function<void(const sim::run_options&)>& body) {
     sim::run_options opts;
+    std::vector<std::pair<std::string, std::string>> described;
     try {
-        opts = sim::parse_run_options(argc, argv);
+        cli::args args(argc, argv);
+        opts = sim::parse_run_options(args, groups | sim::group::report | sim::group::telemetry);
+        described = args.describe();
     } catch (const std::exception& e) {
-        std::cerr << argv[0] << ": " << e.what() << '\n';
-        return 1;
+        return cli::exit_status(argv[0], e);
     }
     const std::string json_path = sim::default_json_path(opts, id);
     const bool observing = !json_path.empty() || !opts.trace_path.empty();
@@ -92,7 +98,7 @@ inline int run_main(const std::string& id, int argc, char** argv,
         if (!opts.checkpoint_dir.empty() || observing || telemetry) sim::cancel_on_sigterm();
         if (observing) {
             obs::start_span_collection();
-            if (!json_path.empty()) obs::begin_report(id, sim::describe_options(opts));
+            if (!json_path.empty()) obs::begin_report(id, std::move(described));
         }
         if (opts.metrics_port >= 0) {
             const unsigned short port = obs::start_metrics_exporter(

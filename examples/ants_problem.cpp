@@ -39,7 +39,7 @@ hit_result fleet_search(std::size_t k, point target, std::uint64_t budget, rng s
 
 int main(int argc, char** argv) {
     try {
-        const auto opts = sim::parse_run_options(argc, argv);
+        const auto opts = sim::parse_run_options(argc, argv, sim::group::monte_carlo);
         const std::size_t k = 32;
         const point treasure{-70, 35};  // ell = 105; nobody is told this
         const std::uint64_t budget = 300000;
@@ -83,7 +83,6 @@ int main(int argc, char** argv) {
                      "measured by bench_e9_ants_baselines.\n";
         return 0;
     } catch (const std::exception& e) {
-        std::cerr << "ants_problem: " << e.what() << '\n';
-        return 1;
+        return cli::exit_status("ants_problem", e);
     }
 }

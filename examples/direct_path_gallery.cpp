@@ -51,7 +51,7 @@ void show_path(point to, rng& g) {
 
 int main(int argc, char** argv) {
     try {
-        const auto opts = sim::parse_run_options(argc, argv);
+        const auto opts = sim::parse_run_options(argc, argv, sim::group::monte_carlo);
         rng g = rng::seeded(opts.seed);
 
         std::cout << "=== Figure 2 reproduction: direct paths (Def. 3.1) ===\n\n";
@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
         std::cout << "\nS = start (origin), T = position after 220 steps.\n";
         return 0;
     } catch (const std::exception& e) {
-        std::cerr << "direct_path_gallery: " << e.what() << '\n';
-        return 1;
+        return cli::exit_status("direct_path_gallery", e);
     }
 }

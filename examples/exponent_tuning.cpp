@@ -20,7 +20,8 @@
 int main(int argc, char** argv) {
     using namespace levy;
     try {
-        const auto opts = sim::parse_run_options(argc, argv);
+        const auto opts =
+            sim::parse_run_options(argc, argv, sim::group::monte_carlo | sim::group::checkpoint);
         const std::size_t k = 16;
         const auto ell = static_cast<std::int64_t>(96.0 * opts.scale);
         const double alpha_star = optimal_alpha(static_cast<double>(k),
@@ -55,7 +56,6 @@ int main(int argc, char** argv) {
                   << ". Try --scale=2 or --scale=4 and watch it shift.\n";
         return 0;
     } catch (const std::exception& e) {
-        std::cerr << "exponent_tuning: " << e.what() << '\n';
-        return 1;
+        return cli::exit_status("exponent_tuning", e);
     }
 }

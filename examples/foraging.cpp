@@ -23,7 +23,8 @@
 int main(int argc, char** argv) {
     using namespace levy;
     try {
-        const auto opts = sim::parse_run_options(argc, argv);
+        const auto opts =
+            sim::parse_run_options(argc, argv, sim::group::monte_carlo | sim::group::checkpoint);
         const std::size_t colony = 64;
         const std::size_t expeditions = opts.trials != 0 ? opts.trials : 40;
 
@@ -59,7 +60,6 @@ int main(int argc, char** argv) {
                      "search patterns.\n";
         return 0;
     } catch (const std::exception& e) {
-        std::cerr << "foraging: " << e.what() << '\n';
-        return 1;
+        return cli::exit_status("foraging", e);
     }
 }

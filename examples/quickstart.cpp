@@ -14,9 +14,15 @@
 #include "src/core/strategy.h"
 #include "src/grid/point.h"
 #include "src/rng/rng_stream.h"
+#include "src/sim/experiment.h"
 
-int main() {
+int main(int argc, char** argv) {
     using namespace levy;
+    try {
+        cli::args(argc, argv).finish();  // no flags: anything given is a mistake
+    } catch (const std::exception& e) {
+        return cli::exit_status("quickstart", e);
+    }
 
     // A treasure 40 lattice steps from the nest (the walk doesn't know where).
     const point treasure{24, -16};

@@ -19,7 +19,8 @@
 int main(int argc, char** argv) {
     using namespace levy;
     try {
-        const auto opts = sim::parse_run_options(argc, argv);
+        const auto opts =
+            sim::parse_run_options(argc, argv, sim::group::monte_carlo | sim::group::checkpoint);
         const std::int64_t n = 128;
         const std::size_t routes = opts.trials != 0 ? opts.trials : 200;
 
@@ -50,7 +51,6 @@ int main(int argc, char** argv) {
                      "exactly what U(2,3) exponent-randomization buys the Levy searchers.\n";
         return 0;
     } catch (const std::exception& e) {
-        std::cerr << "smallworld_routing: " << e.what() << '\n';
-        return 1;
+        return cli::exit_status("smallworld_routing", e);
     }
 }

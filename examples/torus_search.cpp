@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
     using namespace levy;
     try {
-        const auto opts = sim::parse_run_options(argc, argv);
+        const auto opts = sim::parse_run_options(argc, argv, sim::group::monte_carlo);
         const torus::torus_geometry world(128);
         rng master = rng::seeded(opts.seed);
 
@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
                      "frequent enough sensing not to fly over the patch.\n";
         return 0;
     } catch (const std::exception& e) {
-        std::cerr << "torus_search: " << e.what() << '\n';
-        return 1;
+        return cli::exit_status("torus_search", e);
     }
 }

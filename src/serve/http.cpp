@@ -207,6 +207,18 @@ bool send_all(int fd, const std::string& bytes) noexcept {
     return true;
 }
 
+void send_and_close(int fd, const std::string& bytes, const http_limits& limits) noexcept {
+    (void)send_all(fd, bytes);
+    ::shutdown(fd, SHUT_WR);
+    char buf[1024];
+    for (std::size_t drained = 0; drained < limits.max_head_bytes;) {
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+        if (n <= 0) break;  // nothing more buffered (never waits), EOF, or error
+        drained += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+}
+
 std::pair<int, unsigned short> listen_on(unsigned short port) {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd < 0) throw std::runtime_error("serve: socket() failed");

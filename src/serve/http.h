@@ -111,6 +111,14 @@ void apply_socket_timeouts(int fd, const http_limits& limits) noexcept;
 /// treat responses as best-effort — a vanished client is not an error).
 bool send_all(int fd, const std::string& bytes) noexcept;
 
+/// Send `bytes` as the connection's last words and close `fd` without a
+/// reset: send, shutdown(SHUT_WR), discard the request bytes the peer
+/// already sent (non-blocking, at most `limits.max_head_bytes`), close.
+/// Closing with unread bytes queued makes the kernel send an RST, which can
+/// destroy the response before the client reads it — so every reply that
+/// leaves part of a request unread (sheds, head errors) goes through here.
+void send_and_close(int fd, const std::string& bytes, const http_limits& limits) noexcept;
+
 /// Bind + listen on 0.0.0.0:`port` (0 = ephemeral); returns (fd, bound
 /// port). Throws std::runtime_error when the socket cannot be set up.
 [[nodiscard]] std::pair<int, unsigned short> listen_on(unsigned short port);

@@ -7,8 +7,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <optional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 // levylint:allow(raw-thread) acceptor + worker threads: service I/O framing
@@ -36,8 +37,7 @@
 namespace levy::serve {
 namespace {
 
-/// u64 seeds exceed double precision, so JSON carries them as hex strings
-/// (same convention as sim::describe_options).
+/// u64 seeds exceed double precision, so JSON carries them as hex strings.
 std::string hex_u64(std::uint64_t v) {
     char buf[2 + 16 + 1];
     std::snprintf(buf, sizeof buf, "0x%016llx", static_cast<unsigned long long>(v));
@@ -120,7 +120,7 @@ server::server(const serve_options& opts)
                                64 * 1024, opts.max_inflight_bytes,
                                opts.retry_after_seconds}),
       cache_(opts.cache),
-      impl_(new impl) {
+      impl_(std::make_unique<impl>()) {
     LEVY_PRECONDITION(opts.workers >= 1, "serve: workers must be >= 1");
     LEVY_PRECONDITION(opts.queue_capacity >= 1, "serve: queue_capacity must be >= 1");
     LEVY_PRECONDITION(opts.default_deadline_ms >= 1, "serve: default_deadline_ms must be >= 1");
@@ -129,10 +129,7 @@ server::server(const serve_options& opts)
     LEVY_PRECONDITION(opts.cache_flush_every >= 1, "serve: cache_flush_every must be >= 1");
 }
 
-server::~server() {
-    stop();
-    delete impl_;
-}
+server::~server() { stop(); }
 
 unsigned short server::start() {
     if (impl_->running.load()) throw std::logic_error("serve: server already running");
@@ -156,11 +153,14 @@ unsigned short server::start() {
 void server::stop() noexcept {
     if (!impl_->running.exchange(false)) return;
     queue_.shutdown();
+    // shutdown() wakes the acceptor's poll; the fd is closed (and the field
+    // written) only after the acceptor, which reads it, has been joined.
+    if (impl_->listen_fd >= 0) ::shutdown(impl_->listen_fd, SHUT_RDWR);
+    if (impl_->acceptor.joinable()) impl_->acceptor.join();
     if (impl_->listen_fd >= 0) {
-        ::close(impl_->listen_fd);  // wakes the acceptor's poll
+        ::close(impl_->listen_fd);
         impl_->listen_fd = -1;
     }
-    if (impl_->acceptor.joinable()) impl_->acceptor.join();
     for (auto& w : impl_->workers) {
         if (w.joinable()) w.join();
     }
@@ -169,8 +169,7 @@ void server::stop() noexcept {
     for (int fd : queue_.drain()) {
         http_response resp = error_response(503, "server shutting down");
         resp.retry_after_seconds = opts_.retry_after_seconds;
-        (void)send_all(fd, render_response(resp));
-        ::close(fd);
+        send_and_close(fd, render_response(resp), opts_.limits);
     }
     try {
         flush_cache();
@@ -226,8 +225,7 @@ void server::acceptor_loop() {
         http_response resp = error_response(
             503, std::string("overloaded: ") + admit_result_name(admitted));
         resp.retry_after_seconds = opts_.retry_after_seconds;
-        (void)send_all(fd, render_response(resp));
-        ::close(fd);
+        send_and_close(fd, render_response(resp), opts_.limits);
     }
 }
 
@@ -245,16 +243,17 @@ void server::process(const admission_ticket& ticket) {
     const head_status hs = read_request_head(ticket.fd, opts_.limits, req);
     if (hs != head_status::ok) {
         impl_->head_failures.fetch_add(1);
-        if (hs != head_status::closed) {
-            const int status = hs == head_status::timeout     ? 408
-                               : hs == head_status::too_large ? 431
-                                                              : 400;
-            (void)send_all(ticket.fd,
-                           render_response(error_response(
-                               status, std::string("bad request head: ") +
-                                           head_status_name(hs))));
+        if (hs == head_status::closed) {
+            ::close(ticket.fd);
+            return;
         }
-        ::close(ticket.fd);
+        const int status = hs == head_status::timeout     ? 408
+                           : hs == head_status::too_large ? 431
+                                                          : 400;
+        send_and_close(ticket.fd,
+                       render_response(error_response(
+                           status, std::string("bad request head: ") + head_status_name(hs))),
+                       opts_.limits);
         return;
     }
     const http_response resp = handle(req, ticket.sequence);

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/serve/admission.h"
@@ -145,7 +146,7 @@ private:
     result_cache cache_;
 
     struct impl;
-    impl* impl_;
+    std::unique_ptr<impl> impl_;
     unsigned short port_ = 0;
 };
 

@@ -1,10 +1,11 @@
 #include "src/sim/experiment.h"
 
+#include <algorithm>
 #include <charconv>
 #include <csignal>
 #include <filesystem>
+#include <iostream>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -20,21 +21,132 @@
 #include "src/obs/metrics.h"
 #include "src/rng/splitmix64.h"
 
+namespace levy::cli {
+
+args::args(int argc, char** argv) {
+    if (argc > 0) program_ = std::filesystem::path(argv[0]).filename().string();
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            help_ = true;
+            continue;
+        }
+        if (arg.substr(0, 2) != "--" || arg.size() == 2) {
+            positional_.emplace_back(arg);
+            continue;
+        }
+        const std::size_t eq = arg.find('=');
+        given_flag flag{std::string(arg.substr(2, eq - 2)), {}, eq == std::string_view::npos};
+        if (!flag.bare) {
+            flag.value = std::string(arg.substr(eq + 1));
+            if (flag.value.empty()) throw std::invalid_argument("empty value for --" + flag.key);
+        }
+        if (find(flag.key) != nullptr) {
+            throw std::invalid_argument("duplicate flag: --" + flag.key);
+        }
+        given_.push_back(std::move(flag));
+    }
+}
+
+const args::given_flag* args::find(std::string_view key) const {
+    for (const given_flag& f : given_) {
+        if (f.key == key) return &f;
+    }
+    return nullptr;
+}
+
+std::string args::show(double v) {
+    std::ostringstream out;
+    out << v;
+    return out.str();
+}
+
+std::optional<std::string> args::read(std::string_view key, std::string fallback,
+                                      std::string_view help, bool is_switch,
+                                      std::optional<std::string> bare) {
+    const bool known = std::any_of(declared_.begin(), declared_.end(),
+                                   [&](const declared_flag& d) { return d.key == key; });
+    if (!known) {
+        declared_.push_back(
+            {std::string(key), std::move(fallback), std::string(help), is_switch, bare});
+    }
+    const given_flag* flag = find(key);
+    if (flag == nullptr) return std::nullopt;
+    if (flag->bare && !is_switch && !bare.has_value()) {
+        throw std::invalid_argument("--" + flag->key + " needs a value");
+    }
+    return flag->value;
+}
+
+std::string args::text(std::string_view key, std::string fallback, std::string_view help) {
+    return read(key, fallback, help, false, std::nullopt).value_or(fallback);
+}
+
+bool args::has(std::string_view key, std::string_view help) {
+    return read(key, "false", help, true, std::nullopt).has_value();
+}
+
+const std::vector<std::string>& args::positional(std::string_view synopsis) {
+    synopsis_ = synopsis;
+    positional_read_ = true;
+    return positional_;
+}
+
+void args::finish() const {
+    if (help_) throw help_requested(usage());
+    for (const given_flag& flag : given_) {
+        const auto d = std::find_if(declared_.begin(), declared_.end(),
+                                    [&](const declared_flag& x) { return x.key == flag.key; });
+        if (d == declared_.end()) throw std::invalid_argument("unknown argument --" + flag.key);
+        if (d->is_switch && !flag.bare) {
+            throw std::invalid_argument("--" + flag.key + " takes no value");
+        }
+    }
+    if (!positional_read_ && !positional_.empty()) {
+        throw std::invalid_argument("unexpected argument " + positional_.front());
+    }
+    obs::get_counter("cli.flags_parsed").add(given_.size());
+}
+
+std::vector<std::pair<std::string, std::string>> args::describe() const {
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const declared_flag& d : declared_) {
+        const given_flag* f = find(d.key);
+        out.emplace_back(d.key, f == nullptr ? d.fallback
+                                : d.is_switch ? std::string("true")
+                                : f->bare     ? d.bare.value_or("")
+                                              : f->value);
+    }
+    return out;
+}
+
+std::string args::usage() const {
+    std::ostringstream out;
+    out << "usage: " << program_;
+    if (!synopsis_.empty()) out << ' ' << synopsis_;
+    out << (declared_.empty() ? "\n" : " [--flag=value ...]\nflags, shown with their defaults:\n");
+    for (const declared_flag& d : declared_) {
+        std::string flag = "--" + d.key;
+        if (!d.is_switch) flag += "=" + (d.fallback.empty() ? std::string("\"\"") : d.fallback);
+        out << "  " << flag << std::string(flag.size() < 28 ? 28 - flag.size() : 1, ' ')
+            << d.help << '\n';
+    }
+    return out.str();
+}
+
+int exit_status(std::string_view prog, const std::exception& e) {
+    if (dynamic_cast<const help_requested*>(&e) != nullptr) {
+        std::cout << e.what();
+        return 0;
+    }
+    std::cerr << prog << ": " << e.what() << '\n';
+    return 1;
+}
+
+}  // namespace levy::cli
+
 namespace levy::sim {
 namespace {
-
-template <class T>
-T parse_number(std::string_view text, std::string_view flag) {
-    T value{};
-    const auto* begin = text.data();
-    const auto* end = begin + text.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    if (ec != std::errc{} || ptr != end) {
-        throw std::invalid_argument("invalid value for --" + std::string(flag) + ": " +
-                                    std::string(text));
-    }
-    return value;
-}
 
 /// fsync every this many rows: bounded loss on kill without a syscall per row.
 constexpr std::size_t kCsvSyncBatch = 64;
@@ -51,7 +163,7 @@ std::uint64_t parse_bytes(std::string_view text, std::string_view flag) {
         default: break;
     }
     if (multiplier != 1) text.remove_suffix(1);
-    const auto value = parse_number<std::uint64_t>(text, flag);
+    const auto value = cli::parse<std::uint64_t>(text, flag);
     if (value != 0 && value > std::numeric_limits<std::uint64_t>::max() / multiplier) {
         throw std::invalid_argument("value overflows for --" + std::string(flag));
     }
@@ -77,7 +189,6 @@ mc_options run_options::mc(std::size_t default_trials, std::uint64_t salt) const
     mc_options opts;
     opts.trials = trials != 0 ? trials : default_trials;
     opts.threads = threads;
-    opts.chunk = chunk;
     opts.seed = salt == 0 ? seed : mix64(seed, salt);
     if (!checkpoint_dir.empty()) {
         // One journal per Monte-Carlo phase, keyed by its (salted) seed and
@@ -107,117 +218,82 @@ std::string format_throughput(const run_metrics& m) {
     return out.str();
 }
 
-run_options parse_run_options(int argc, char** argv) {
+run_options parse_run_options(cli::args& args, unsigned groups) {
     run_options opts;
-    std::set<std::string, std::less<>> seen;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        // Matches "--<flag>=<value>"; rejects empty values and repeats.
-        const auto eat = [&](std::string_view flag) -> std::string_view {
-            if (arg.substr(0, flag.size()) != flag || arg.size() <= flag.size() ||
-                arg[flag.size()] != '=') {
-                return {};
-            }
-            if (!seen.emplace(flag).second) {
-                throw std::invalid_argument("duplicate flag: " + std::string(flag));
-            }
-            const std::string_view value = arg.substr(flag.size() + 1);
-            if (value.empty()) {
-                throw std::invalid_argument("empty value for " + std::string(flag));
-            }
-            return value;
-        };
-        if (auto v = eat("--trials"); !v.empty()) {
-            opts.trials = parse_number<std::size_t>(v, "trials");
-        } else if (auto s = eat("--scale"); !s.empty()) {
-            opts.scale = parse_number<double>(s, "scale");
-        } else if (auto t = eat("--threads"); !t.empty()) {
-            opts.threads = parse_number<unsigned>(t, "threads");
-        } else if (auto k = eat("--chunk"); !k.empty()) {
-            opts.chunk = parse_number<std::size_t>(k, "chunk");
-        } else if (auto x = eat("--seed"); !x.empty()) {
-            opts.seed = parse_number<std::uint64_t>(x, "seed");
-        } else if (auto c = eat("--csv"); !c.empty()) {
-            opts.csv_path = std::string(c);
-        } else if (auto d = eat("--checkpoint"); !d.empty()) {
-            opts.checkpoint_dir = std::string(d);
-        } else if (auto n = eat("--checkpoint-interval"); !n.empty()) {
-            opts.checkpoint_interval = parse_number<std::size_t>(n, "checkpoint-interval");
-        } else if (auto m = eat("--max-steps-per-trial"); !m.empty()) {
-            opts.max_trial_steps = parse_number<std::uint64_t>(m, "max-steps-per-trial");
-        } else if (auto j = eat("--json"); !j.empty()) {
-            opts.json_path = std::string(j);
-        } else if (auto jd = eat("--json-dir"); !jd.empty()) {
-            opts.json_dir = std::string(jd);
-        } else if (auto tr = eat("--trace"); !tr.empty()) {
-            opts.trace_path = std::string(tr);
-        } else if (arg == "--progress") {
-            // The one value-less flag: "--progress" alone means the default
-            // interval, so it takes the same duplicate bookkeeping by hand.
-            if (!seen.emplace("--progress").second) {
-                throw std::invalid_argument("duplicate flag: --progress");
-            }
-            opts.progress_seconds = 2.0;
-        } else if (auto p = eat("--progress"); !p.empty()) {
-            opts.progress_seconds = parse_number<double>(p, "progress");
-        } else if (auto mp = eat("--metrics-port"); !mp.empty()) {
-            opts.metrics_port = parse_number<int>(mp, "metrics-port");
-        } else if (auto en = eat("--engine"); !en.empty()) {
-            if (en == "scalar") {
-                opts.engine = engine_kind::scalar;
-            } else if (en == "batch") {
-                opts.engine = engine_kind::batch;
-            } else {
-                throw std::invalid_argument("--engine must be scalar or batch, got: " +
-                                            std::string(en));
-            }
-        } else if (auto cp = eat("--cap"); !cp.empty()) {
-            const auto cap = parse_number<std::uint64_t>(cp, "cap");
-            opts.cap = cap == 0 ? kNoCap : cap;
-        } else if (auto dm = eat("--deadline-ms"); !dm.empty()) {
-            // Parsed signed so "-5" reaches the precondition (an unsigned
-            // parse would report it as a malformed number instead).
-            const auto v = parse_number<std::int64_t>(dm, "deadline-ms");
-            LEVY_PRECONDITION(v > 0, "--deadline-ms must be > 0");
-            opts.deadline_ms = static_cast<std::uint64_t>(v);
-        } else if (auto qc = eat("--queue-capacity"); !qc.empty()) {
-            const auto v = parse_number<std::int64_t>(qc, "queue-capacity");
-            LEVY_PRECONDITION(v > 0, "--queue-capacity must be > 0");
-            opts.queue_capacity = static_cast<std::size_t>(v);
-        } else if (auto sh = eat("--shards"); !sh.empty()) {
-            opts.shards = parse_number<std::size_t>(sh, "shards");
-        } else if (auto mb = eat("--memory-budget"); !mb.empty()) {
-            opts.memory_budget = parse_bytes(mb, "memory-budget");
-        } else if (auto sd = eat("--spill-dir"); !sd.empty()) {
-            opts.spill_dir = std::string(sd);
-        } else if (auto sr = eat("--sync-rounds"); !sr.empty()) {
-            opts.sync_rounds = parse_number<std::size_t>(sr, "sync-rounds");
-        } else if (auto es = eat("--epoch-steps"); !es.empty()) {
-            opts.epoch_steps = parse_number<std::uint64_t>(es, "epoch-steps");
-        } else if (arg == "--help" || arg == "-h") {
-            throw std::invalid_argument(
-                "usage: [--trials=N] [--scale=S] [--threads=T] [--chunk=C] [--seed=X] "
-                "[--csv=PATH] [--checkpoint=DIR] [--checkpoint-interval=K] "
-                "[--max-steps-per-trial=M] [--json=PATH|-] [--json-dir=DIR] [--trace=PATH] "
-                "[--progress[=SECS]] [--metrics-port=P] [--engine=scalar|batch] [--cap=C] "
-                "[--deadline-ms=D] [--queue-capacity=Q] [--shards=S] [--memory-budget=B] "
-                "[--spill-dir=DIR] [--sync-rounds=R] [--epoch-steps=N]");
-        } else {
-            throw std::invalid_argument("unknown argument: " + std::string(arg));
+    if ((groups & group::monte_carlo) != 0) {
+        opts.trials = args.get<std::size_t>("trials", 0, "trials per row (0 = built-in default)");
+        opts.scale = args.get("scale", 1.0, "multiplies problem sizes (ell grids, budgets)");
+        opts.threads = args.get("threads", 0U, "worker threads (0 = hardware concurrency)");
+        opts.seed = args.get("seed", kDefaultSeed, "master seed");
+        if (!(opts.scale > 0.0)) throw std::invalid_argument("--scale must be positive");
+    }
+    if ((groups & group::csv) != 0) {
+        opts.csv_path = args.text("csv", "", "also write the rows as CSV to PATH (crash-safe)");
+    }
+    if ((groups & group::checkpoint) != 0) {
+        opts.checkpoint_dir = args.text("checkpoint", "", "journal trials into DIR; reruns resume");
+        opts.checkpoint_interval =
+            args.get<std::size_t>("checkpoint-interval", 256, "flush the journal every K trials");
+        if (opts.checkpoint_interval == 0) {
+            throw std::invalid_argument("--checkpoint-interval must be >= 1");
         }
     }
-    obs::get_counter("cli.flags_parsed").add(seen.size());
-    if (!(opts.scale > 0.0)) throw std::invalid_argument("--scale must be positive");
-    if (opts.checkpoint_interval == 0) {
-        throw std::invalid_argument("--checkpoint-interval must be >= 1");
+    if ((groups & group::watchdog) != 0) {
+        opts.max_trial_steps = args.get<std::uint64_t>(
+            "max-steps-per-trial", 0, "per-trial step cap, truncations censored (0 = off)");
     }
-    if (seen.count("--progress") != 0 && !(opts.progress_seconds > 0.0)) {
-        throw std::invalid_argument("--progress interval must be positive");
+    if ((groups & group::engine) != 0) {
+        const std::string engine = args.text("engine", "batch", "batch or scalar (same results)");
+        if (engine != "batch" && engine != "scalar") {
+            throw std::invalid_argument("--engine must be scalar or batch, got: " + engine);
+        }
+        opts.engine = engine == "scalar" ? engine_kind::scalar : engine_kind::batch;
+        const auto cap = args.get<std::uint64_t>("cap", 0, "jump-length cap (0 = uncapped)");
+        opts.cap = cap == 0 ? kNoCap : cap;
     }
-    if (opts.metrics_port != -1 && (opts.metrics_port < 0 || opts.metrics_port > 65535)) {
-        throw std::invalid_argument("--metrics-port must be in [0, 65535]");
+    if ((groups & group::sharding) != 0) {
+        shard_options& s = opts.sharding;
+        s.shards = args.get("shards", s.shards, "walker-id shards spilled to disk (<= 1 = off)");
+        s.memory_budget = parse_bytes(
+            args.text("memory-budget", "0", "resident bytes, suffix K/M/G/T (0 = unlimited)"),
+            "memory-budget");
+        s.spill_dir = args.text("spill-dir", "", "spill/resume directory (empty = temp dir)");
+        s.sync_rounds = args.get("sync-rounds", s.sync_rounds, "sync shards every R rounds");
     }
+    if ((groups & group::serving) != 0) {
+        // Parsed signed so "-5" reaches the precondition (an unsigned parse
+        // would report it as a malformed number instead).
+        const auto deadline = args.get<std::int64_t>("deadline-ms", 50, "per-request deadline");
+        LEVY_PRECONDITION(deadline > 0, "--deadline-ms must be > 0");
+        const auto capacity = args.get<std::int64_t>("queue-capacity", 8, "admission queue size");
+        LEVY_PRECONDITION(capacity > 0, "--queue-capacity must be > 0");
+        opts.deadline_ms = static_cast<std::uint64_t>(deadline);
+        opts.queue_capacity = static_cast<std::size_t>(capacity);
+    }
+    if ((groups & group::report) != 0) {
+        opts.json_path = args.text("json", "", "write the result document to PATH (- = off)");
+        opts.json_dir = args.text("json-dir", "", "like --json, as DIR/BENCH_<id>.json");
+        opts.trace_path = args.text("trace", "", "write spans as a Chrome trace to PATH");
+    }
+    if ((groups & group::telemetry) != 0) {
+        opts.progress_seconds =
+            args.get("progress", 0.0, "stderr progress line every SECS (bare: 2)", 2.0);
+        if (args.has("progress") && !(opts.progress_seconds > 0.0)) {
+            throw std::invalid_argument("--progress interval must be positive");
+        }
+        opts.metrics_port =
+            args.get("metrics-port", -1, "serve /metrics on port P (0 = any, -1 = off)");
+        if (opts.metrics_port < -1 || opts.metrics_port > 65535) {
+            throw std::invalid_argument("--metrics-port must be in [0, 65535]");
+        }
+    }
+    args.finish();
     return opts;
+}
+
+run_options parse_run_options(int argc, char** argv, unsigned groups) {
+    cli::args args(argc, argv);
+    return parse_run_options(args, groups);
 }
 
 std::string default_json_path(const run_options& opts, const std::string& id) {
@@ -225,59 +301,6 @@ std::string default_json_path(const run_options& opts, const std::string& id) {
     if (!opts.json_path.empty()) return opts.json_path;
     if (!opts.json_dir.empty()) return opts.json_dir + "/BENCH_" + id + ".json";
     return {};
-}
-
-std::vector<std::pair<std::string, std::string>> describe_options(const run_options& opts) {
-    std::vector<std::pair<std::string, std::string>> out;
-    // Every flag is recorded, defaults included, so a result document is
-    // self-describing without the reader knowing the defaults of the build
-    // that wrote it.
-    out.emplace_back("trials", std::to_string(opts.trials));
-    {
-        std::ostringstream s;
-        s << opts.scale;
-        out.emplace_back("scale", s.str());
-    }
-    out.emplace_back("threads", std::to_string(opts.threads));
-    out.emplace_back("chunk", std::to_string(opts.chunk));
-    out.emplace_back("seed", "0x" + hex64(opts.seed));
-    if (!opts.csv_path.empty()) out.emplace_back("csv", opts.csv_path);
-    if (!opts.checkpoint_dir.empty()) {
-        out.emplace_back("checkpoint", opts.checkpoint_dir);
-        out.emplace_back("checkpoint-interval", std::to_string(opts.checkpoint_interval));
-    }
-    if (opts.max_trial_steps != 0) {
-        out.emplace_back("max-steps-per-trial", std::to_string(opts.max_trial_steps));
-    }
-    if (!opts.trace_path.empty()) out.emplace_back("trace", opts.trace_path);
-    if (opts.progress_seconds > 0.0) {
-        std::ostringstream s;
-        s << opts.progress_seconds;
-        out.emplace_back("progress", s.str());
-    }
-    if (opts.metrics_port >= 0) {
-        out.emplace_back("metrics-port", std::to_string(opts.metrics_port));
-    }
-    out.emplace_back("engine", opts.engine == engine_kind::batch ? "batch" : "scalar");
-    if (opts.cap != kNoCap) out.emplace_back("cap", std::to_string(opts.cap));
-    if (opts.deadline_ms != 0) {
-        out.emplace_back("deadline-ms", std::to_string(opts.deadline_ms));
-    }
-    if (opts.queue_capacity != 0) {
-        out.emplace_back("queue-capacity", std::to_string(opts.queue_capacity));
-    }
-    if (opts.shards > 1) out.emplace_back("shards", std::to_string(opts.shards));
-    if (opts.memory_budget != 0) {
-        out.emplace_back("memory-budget", std::to_string(opts.memory_budget));
-    }
-    if (!opts.spill_dir.empty()) out.emplace_back("spill-dir", opts.spill_dir);
-    if (opts.sync_rounds != 1) {
-        out.emplace_back("sync-rounds", std::to_string(opts.sync_rounds));
-    }
-    if (opts.epoch_steps != 0) {
-        out.emplace_back("epoch-steps", std::to_string(opts.epoch_steps));
-    }
-    return out;
 }
 
 csv_writer::csv_writer(const std::string& path) : path_(path) {

@@ -1,80 +1,159 @@
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/sim/monte_carlo.h"
+#include "src/sim/shard_engine.h"
 #include "src/sim/trial.h"
+
+namespace levy::cli {
+
+/// Thrown by args::finish() when --help (or -h) was given; what() is the
+/// usage text generated from the flags the binary declared.
+class help_requested : public std::runtime_error {
+public:
+    using std::runtime_error::runtime_error;
+};
+
+/// `text` parsed as T by std::from_chars (the whole string, or it throws
+/// std::invalid_argument naming --flag).
+template <class T>
+[[nodiscard]] T parse(std::string_view text, std::string_view flag) {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end) {
+        throw std::invalid_argument("invalid value for --" + std::string(flag) + ": " +
+                                    std::string(text));
+    }
+    return value;
+}
+
+/// The one command-line parser of every binary. Arguments are `--key=value`,
+/// bare `--key`, or positionals (anything not starting with "--").
+/// Duplicate flags and empty values (`--key=`) throw at construction;
+/// malformed numbers throw when read, naming the flag.
+///
+/// Reading a key is what declares it: every get/text/has call records the
+/// key, its default and a one-line help. finish() then rejects any flag no
+/// read declared ("unknown argument --x"), and --help prints exactly the
+/// declared flags. Callers read every key they honour, then call finish(),
+/// then start work.
+class args {
+public:
+    /// argv[0] names the program (its basename heads the usage text).
+    args(int argc, char** argv);
+
+    /// --key parsed as T, or `fallback` when absent. A bare `--key` stands
+    /// for `bare` when one is given, else it is an error.
+    template <class T>
+    [[nodiscard]] T get(std::string_view key, T fallback, std::string_view help,
+                        std::type_identity_t<std::optional<T>> bare = std::nullopt) {
+        const std::optional<std::string> raw =
+            read(key, show(fallback), help, false,
+                 bare.has_value() ? std::optional<std::string>(show(*bare)) : std::nullopt);
+        if (!raw.has_value()) return fallback;
+        return raw->empty() ? *bare : parse<T>(*raw, key);  // "" = bare, vetted by read()
+    }
+
+    /// --key's text, or `fallback` when absent.
+    [[nodiscard]] std::string text(std::string_view key, std::string fallback,
+                                   std::string_view help);
+
+    /// Whether --key was given. Declares a bare switch unless the key was
+    /// already read as a value; a declared switch given a value is rejected.
+    [[nodiscard]] bool has(std::string_view key, std::string_view help = {});
+
+    /// The positional arguments; `synopsis` names them in the usage line.
+    /// Positionals given to a binary that never reads them are rejected.
+    [[nodiscard]] const std::vector<std::string>& positional(std::string_view synopsis);
+
+    /// Throws help_requested on --help, else std::invalid_argument naming
+    /// the first undeclared flag, misused switch or unread positional.
+    void finish() const;
+
+    /// Every declared flag with its effective value (as typed, or the
+    /// default), in declaration order: the self-describing "options" record
+    /// of a structured result document.
+    [[nodiscard]] std::vector<std::pair<std::string, std::string>> describe() const;
+
+private:
+    struct given_flag {
+        std::string key;
+        std::string value;
+        bool bare = false;
+    };
+    struct declared_flag {
+        std::string key;
+        std::string fallback;  ///< default as shown by --help
+        std::string help;
+        bool is_switch = false;
+        std::optional<std::string> bare;  ///< value a bare flag stands for
+    };
+
+    /// Declare `key` (first read wins) and return its raw value: nullopt
+    /// when absent, "" for a bare flag (an error unless `bare` is set).
+    std::optional<std::string> read(std::string_view key, std::string fallback,
+                                    std::string_view help, bool is_switch,
+                                    std::optional<std::string> bare);
+    [[nodiscard]] const given_flag* find(std::string_view key) const;
+    /// "usage: <prog> ..." plus one line per declared flag with its default.
+    [[nodiscard]] std::string usage() const;
+
+    static std::string show(double v);
+    template <class T>
+    static std::string show(T v) {
+        return std::to_string(v);
+    }
+
+    std::string program_;
+    std::string synopsis_;
+    bool positional_read_ = false;
+    bool help_ = false;
+    std::vector<given_flag> given_;
+    std::vector<std::string> positional_;
+    std::vector<declared_flag> declared_;
+};
+
+/// Exit status for an exception escaping a binary's main: help text to
+/// stdout and 0 for help_requested, else "<prog>: <what>" on stderr and 1.
+[[nodiscard]] int exit_status(std::string_view prog, const std::exception& e);
+
+}  // namespace levy::cli
 
 namespace levy::sim {
 
-/// Command-line options shared by every bench/example binary:
-///   --trials=N              Monte-Carlo trials per table row (scaled by each bench)
-///   --scale=S               multiplies problem sizes (ℓ grids, budgets); S=1 default
-///   --threads=T             worker threads (0 = hardware concurrency)
-///   --chunk=C               work-queue chunk size (0 = auto)
-///   --seed=X                master seed
-///   --csv=PATH              also write rows as CSV to PATH (crash-safe:
-///                           written to PATH.tmp, atomically renamed on close)
-///   --checkpoint=DIR        journal completed trials into DIR; a rerun with
-///                           the same flags resumes and reproduces the output
-///                           bit-identically (SIGTERM also checkpoints and
-///                           exits cleanly when this is set)
-///   --checkpoint-interval=K flush the journal every K completed trials (>= 1)
-///   --max-steps-per-trial=M watchdog: hard per-trial step cap; truncated
-///                           trials are reported as censored, never silently
-///                           folded into the statistics (0 = no cap)
-///   --json=PATH             write the structured result document
-///                           (schema "levy-bench" v1: options, table rows,
-///                           metrics, per-phase spans) to PATH, crash-safe
-///   --json-dir=DIR          like --json, but named BENCH_<id>.json in DIR
-///                           ("--json=-" disables an inherited --json-dir)
-///   --trace=PATH            write collected LEVY_SPAN phases as a Chrome
-///                           trace-event file (chrome://tracing / Perfetto)
-///   --progress[=SECS]       print a throttled progress/ETA line to stderr
-///                           every SECS seconds (default 2); stdout stays
-///                           byte-identical with and without the flag
-///   --metrics-port=P        serve /metrics (Prometheus), /healthz and
-///                           /progress on 0.0.0.0:P while the run is live
-///                           (P=0 picks an ephemeral port, printed to stderr)
-///   --engine=E              walk-trial engine, "batch" (default) or
-///                           "scalar"; results are bit-identical, only
-///                           throughput differs (see sim/walk_engine.h)
-///   --deadline-ms=D         per-request deadline handed to serving/driver
-///                           layers (levyserve, E23); must be > 0 when given
-///                           (0 = keep the server's default)
-///   --queue-capacity=Q      admission-queue capacity for serving layers;
-///                           must be > 0 when given (0 = server default)
-///   --cap=C                 truncate jump lengths at C (0 = uncapped, the
-///                           default) — the truncated-Zipf regime of the
-///                           intermittent variants; capped runs with C at or
-///                           below the alias threshold are where the batch
-///                           engine's shared distribution cache pays most
-///                           (the scalar path rebuilds an O(C) table per
-///                           walker per trial)
-///   --shards=S              out-of-core mode (batch engine only): partition
-///                           each parallel trial's walkers into S id-block
-///                           shards advanced epoch-by-epoch, idle shards
-///                           spilled to disk; results stay bit-identical to
-///                           the in-memory engine (S <= 1 and no
-///                           --memory-budget = in-memory)
-///   --memory-budget=B       resident walker-state cap in bytes (suffixes
-///                           K/M/G/T = binary multiples); implies sharded
-///                           mode and raises the shard count until one
-///                           shard fits; 0 = unlimited
-///   --spill-dir=DIR         where sharded trials spill/resume their shard
-///                           files (default: a per-process temp directory —
-///                           crash resume across runs needs a stable DIR)
-/// Unknown arguments, malformed/empty values, and duplicated flags all
-/// throw, so typos fail loudly.
+/// Flag groups a binary honours; parse_run_options declares (and so
+/// accepts) exactly the flags of the groups it is given. A binary names a
+/// group exactly when its body reads that group's run_options fields;
+/// bench::run_main always adds report and telemetry.
+namespace group {
+inline constexpr unsigned monte_carlo = 1U << 0;  ///< --trials --scale --threads --seed
+inline constexpr unsigned csv = 1U << 1;          ///< --csv
+inline constexpr unsigned checkpoint = 1U << 2;   ///< --checkpoint[-interval], via mc()
+inline constexpr unsigned watchdog = 1U << 3;     ///< --max-steps-per-trial
+inline constexpr unsigned engine = 1U << 4;       ///< --engine --cap
+inline constexpr unsigned sharding = 1U << 5;     ///< --shards --memory-budget --spill-dir...
+inline constexpr unsigned serving = 1U << 6;      ///< --deadline-ms --queue-capacity
+inline constexpr unsigned report = 1U << 7;       ///< --json --json-dir --trace
+inline constexpr unsigned telemetry = 1U << 8;    ///< --progress --metrics-port
+}  // namespace group
+
+/// Parsed command-line options of a bench/example binary; run `<binary>
+/// --help` for the flags, defaults and meanings a binary accepts.
 struct run_options {
     std::size_t trials = 0;  ///< 0 = keep the binary's default
     double scale = 1.0;
     unsigned threads = 0;
-    std::size_t chunk = 0;  ///< 0 = auto
     std::uint64_t seed = kDefaultSeed;
     std::string csv_path;
     std::string checkpoint_dir;            ///< empty = no checkpointing
@@ -85,25 +164,11 @@ struct run_options {
     std::string trace_path;                ///< --trace (empty = off)
     double progress_seconds = 0.0;         ///< --progress interval (0 = off)
     int metrics_port = -1;                 ///< --metrics-port (-1 = off, 0 = ephemeral)
-    engine_kind engine = engine_kind::batch;  ///< --engine
-    std::uint64_t cap = kNoCap;               ///< --cap (kNoCap = uncapped)
-    std::uint64_t deadline_ms = 0;            ///< --deadline-ms (0 = unset)
-    std::size_t queue_capacity = 0;           ///< --queue-capacity (0 = unset)
-    std::size_t shards = 0;                   ///< --shards (<= 1 = in-memory)
-    std::uint64_t memory_budget = 0;          ///< --memory-budget bytes (0 = unlimited)
-    std::string spill_dir;                    ///< --spill-dir (empty = temp dir)
-    std::size_t sync_rounds = 1;              ///< --sync-rounds (0 = spill only on evict)
-    std::uint64_t epoch_steps = 0;            ///< --epoch-steps (0 = budget/8 default)
-
-    /// Copy the sharding knobs into a parallel-trial config (helper so every
-    /// bench wires them the same way).
-    void apply_sharding(parallel_walk_config& cfg) const {
-        cfg.shards = shards;
-        cfg.memory_budget = memory_budget;
-        cfg.spill_dir = spill_dir;
-        cfg.sync_rounds = sync_rounds;
-        cfg.epoch_steps = epoch_steps;
-    }
+    engine_kind engine = engine_kind::batch;
+    std::uint64_t cap = kNoCap;
+    std::uint64_t deadline_ms = 50;        ///< per-request deadline (E23's server)
+    std::size_t queue_capacity = 8;        ///< admission queue (E23's server)
+    shard_options sharding;                ///< out-of-core mode when shards > 1 or a budget
 
     /// mc_options with this run's trials (or `default_trials` when the user
     /// didn't override) and a per-use salt so distinct experiment phases in
@@ -114,17 +179,15 @@ struct run_options {
     [[nodiscard]] mc_options mc(std::size_t default_trials, std::uint64_t salt = 0) const;
 };
 
-[[nodiscard]] run_options parse_run_options(int argc, char** argv);
+/// Read the flags of `groups` from `args`, validate them, then finish()
+/// (so undeclared flags and --help throw; see cli::args).
+[[nodiscard]] run_options parse_run_options(cli::args& args, unsigned groups);
+[[nodiscard]] run_options parse_run_options(int argc, char** argv, unsigned groups);
 
 /// Where the structured JSON for experiment `id` should land, resolving
 /// --json against --json-dir: an explicit --json wins ("-" disables);
 /// otherwise --json-dir gives DIR/BENCH_<id>.json; empty means no JSON.
 [[nodiscard]] std::string default_json_path(const run_options& opts, const std::string& id);
-
-/// The options as (flag, value) pairs the user could re-type — the
-/// "options" object of the structured result document.
-[[nodiscard]] std::vector<std::pair<std::string, std::string>> describe_options(
-    const run_options& opts);
 
 /// Route SIGTERM into cooperative cancellation (request_cancel): the driver
 /// stops at the next trial boundary, flushes the checkpoint journal, and

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/core/hitting.h"
@@ -10,6 +9,7 @@
 #include "src/grid/point.h"
 #include "src/rng/jump_distribution.h"
 #include "src/sim/monte_carlo.h"
+#include "src/sim/shard_engine.h"
 #include "src/stats/proportion.h"
 #include "src/stats/summary.h"
 
@@ -74,15 +74,7 @@ struct parallel_walk_config {
     /// Out-of-core sharding (batch engine only; see sim/shard_engine.h):
     /// shards > 1 or memory_budget > 0 routes each trial through the
     /// sharded engine — bit-identical results, bounded resident memory.
-    std::size_t shards = 0;
-    std::uint64_t memory_budget = 0;  ///< resident bytes cap (0 = unlimited)
-    std::string spill_dir;            ///< shard spill/resume dir ("" = temp)
-    /// Durable-spill cadence in rounds (shard_options::sync_rounds): 0 spills
-    /// only on eviction — faster, but a crash loses the whole trial.
-    std::size_t sync_rounds = 1;
-    /// Steps per shard residency (shard_options::epoch_steps; 0 = the
-    /// engine's budget/8 default). Results are invariant under it.
-    std::uint64_t epoch_steps = 0;
+    shard_options sharding;
 };
 
 /// One trial of τ^k against u* = (ℓ, 0).

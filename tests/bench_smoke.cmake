@@ -32,11 +32,12 @@ set(default_args --trials=50 --scale=0.25)
 # E1/E2: hit probabilities are tiny, the log-log fit needs >=2 budgets with
 # at least one hit each. E12: the jump-tail histogram fit needs a dense
 # sample. E15: Google Benchmark; one representative micro-benchmark. E21 is
-# an exact DP that ignores trials/scale.
+# an exact DP that declares no Monte-Carlo flags, so it gets none.
 set(args_e1_superdiffusive_hit --trials=500 --scale=0.25)
 set(args_e2_early_hitting --trials=1000 --scale=0.05)
 set(args_e12_distributions --trials=20000 --scale=0.25)
 set(args_e15_micro --benchmark_filter=BM_Xoshiro)
+set(args_e21_exact_occupancy "")
 # E24: out-of-core sweep; tiny trial count, scale keeps k <= 4096 while the
 # default memory budget still forces spill/reload traffic.
 set(args_e24_billion_walkers --trials=2 --scale=0.25)

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/serve/server.h"
 
 #if LEVY_SERVE_HAVE_POSIX_SOCKETS
+#include <sys/socket.h>
+#include <unistd.h>
 
 namespace levy::serve {
 namespace {
@@ -199,6 +203,64 @@ TEST(ServerLifecycle, StartServesOverRealSocketsAndStopsIdempotently) {
     srv.stop();
     srv.stop();  // idempotent
     EXPECT_FALSE(srv.running());
+}
+
+/// Everything the peer sends until its orderly close; "" when the
+/// connection was reset (or the socket's receive timeout lapsed) first.
+std::string read_to_eof(int fd) {
+    std::string out;
+    char buf[4096];
+    for (;;) {
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n == 0) return out;
+        if (n < 0 && errno == EINTR) continue;
+        if (n < 0) return {};
+        out.append(buf, static_cast<std::size_t>(n));
+    }
+}
+
+// A shed client that sent its whole request before reading must still read
+// a complete 503. Closing a socket whose request bytes were never read makes
+// the kernel answer with an RST, and the RST can destroy the 503 before the
+// client reads it — E23's "transport errors" under overload.
+TEST(ServerOverload, ShedClientsThatSentARequestReadAComplete503) {
+    serve_options opts = fast_opts();
+    opts.queue_capacity = 1;
+    opts.limits.head_deadline_seconds = 30.0;
+    opts.limits.io_timeout_seconds = 30.0;
+    server srv(opts);
+    const unsigned short port = srv.start();
+    // Saturate with silent clients until two are admitted: with a one-slot
+    // queue that means the lone worker holds the first in its head read and
+    // the second fills the queue (one that arrives before the worker popped
+    // the first is shed, which is harmless here).
+    std::vector<int> silent;
+    for (int i = 0; i < 200 && srv.stats().admission.admitted < 2; ++i) {
+        silent.push_back(connect_client(port, 5.0));
+        ::usleep(10'000);
+    }
+    ASSERT_EQ(srv.stats().admission.admitted, 2u);
+
+    const std::string request = "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+    int complete = 0;
+    constexpr int kClients = 40;
+    for (int i = 0; i < kClients; ++i) {
+        const int fd = connect_client(port, 5.0);
+        ASSERT_GE(fd, 0);
+        ASSERT_TRUE(send_all(fd, request));
+        ::usleep(20'000);  // the shed reply and any reset land before we read
+        const std::string reply = read_to_eof(fd);
+        ::close(fd);
+        const std::size_t body = reply.find("\r\n\r\n");
+        if (reply.rfind("HTTP/1.1 503 ", 0) == 0 && body != std::string::npos &&
+            reply.find("\"error\":\"overloaded: shed_queue_full\"", body) != std::string::npos) {
+            ++complete;
+        }
+    }
+    EXPECT_EQ(complete, kClients);
+    EXPECT_EQ(srv.stats().admission.admitted, 2u);
+    for (const int fd : silent) ::close(fd);
+    srv.stop();
 }
 
 TEST(ServerOptions, ConstructorRejectsDegenerateConfigs) {

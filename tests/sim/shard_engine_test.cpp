@@ -175,8 +175,8 @@ TEST_F(ShardEngineTest, TrialDispatchRoutesShardedConfigs) {
         p.budget = 500;
         p.max_steps = 200;  // watchdog truncates: censoring must agree too
         const parallel_result base = parallel_walk_trial(p, rng::seeded(seed + 2000));
-        p.shards = 3;
-        p.spill_dir = dir_.string();
+        p.sharding.shards = 3;
+        p.sharding.spill_dir = dir_.string();
         const parallel_result sharded = parallel_walk_trial(p, rng::seeded(seed + 2000));
         EXPECT_EQ(base.hit, sharded.hit);
         EXPECT_EQ(base.time, sharded.time);

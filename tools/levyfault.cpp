@@ -1,34 +1,28 @@
 // levyfault — fault-injection driver proving the crash-safety story
 // end to end, from outside the process.
 //
-// Subcommands:
-//   levyfault run [--trials=N] [--seed=X] [--threads=T] [--out=FILE]
-//                 [--checkpoint=FILE] [--checkpoint-interval=K]
-//                 [--max-steps-per-trial=M]
-//                 [--crash-after=N] [--cancel-after=N]
-//                 [--torn-write=F] [--short-write=F]
+// Subcommands (`levyfault <command> --help` lists each one's flags):
+//   levyfault run
 //       One fixed parallel-walk sweep; per-trial results as CSV to --out
 //       (default stdout). --crash-after=N _Exit(9)s before trial N — a
 //       SIGKILL-grade death: no unwinding, no final flush, only journal
 //       bytes already renamed into place survive. --torn-write/--short-write
 //       corrupt checkpoint flush number F on disk (see src/sim/fault.h).
 //
-//   levyfault selftest [--dir=DIR]
+//   levyfault selftest
 //       Spawns itself: for 1 and 4 threads, runs an uninterrupted
 //       reference, then a crashed run, then a resume, and byte-compares
 //       the resumed CSV against the reference. Also proves torn-write
 //       recovery. Exit 0 = every scenario bit-identical.
 //
-//   levyfault shardrun [--trials=N] [--seed=X] [--threads=T] [--out=FILE]
-//                      [--shards=S] [--memory-budget=B] [--spill-dir=DIR]
-//                      [--kill-at-spill=N]
+//   levyfault shardrun
 //       One fixed sharded parallel-walk sweep; per-trial results (including
 //       winner and winner exponent) as CSV to --out. Without --shards /
 //       --memory-budget it runs the in-memory engine — the byte-compare
 //       reference. --kill-at-spill=N _Exit(9)s at the N-th shard spill of a
 //       trial, leaving the spill directory mid-flight for a resume.
 //
-//   levyfault shards [--dir=DIR]
+//   levyfault shards
 //       Out-of-core drill: for 1 and 4 threads, runs an in-memory
 //       reference, a clean sharded run (byte-identical), a sharded run
 //       killed at a spill, corrupts one of the surviving shard files, then
@@ -44,16 +38,14 @@
 //       exception during a query answers 500 and the *next* query answers
 //       200. Exit 0 = the server survived every abuse.
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/core/strategy.h"
@@ -72,67 +64,35 @@ namespace {
 
 using namespace levy;
 
-class arg_map {
-public:
-    arg_map(int argc, char** argv, int first) {
-        for (int i = first; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.substr(0, 2) != "--") {
-                throw std::invalid_argument("expected --flag[=value], got: " + std::string(arg));
-            }
-            const auto eq = arg.find('=');
-            if (eq == std::string_view::npos) {
-                values_[std::string(arg.substr(2))] = "";
-            } else {
-                values_[std::string(arg.substr(2, eq - 2))] = std::string(arg.substr(eq + 1));
-            }
-        }
+constexpr std::size_t kNever = sim::fault_plan::kNever;
+
+/// Write `csv` to `out_path`, or to stdout when it is empty.
+void emit(const std::string& csv, const std::string& out_path) {
+    if (out_path.empty()) {
+        std::cout << csv;
+        return;
     }
+    std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
+    out << csv;
+    if (!out.good()) throw std::runtime_error("levyfault: cannot write " + out_path);
+}
 
-    [[nodiscard]] bool has(const std::string& key) const { return values_.contains(key); }
-
-    [[nodiscard]] std::string text(const std::string& key, const std::string& fallback) const {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-    template <class T>
-    [[nodiscard]] T get(const std::string& key, T fallback) const {
-        const auto it = values_.find(key);
-        if (it == values_.end()) return fallback;
-        T value{};
-        const auto& text = it->second;
-        const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-        if (ec != std::errc{} || ptr != text.data() + text.size()) {
-            throw std::invalid_argument("bad value for --" + key + ": " + text);
-        }
-        return value;
-    }
-
-private:
-    std::map<std::string, std::string> values_;
-};
-
-int cmd_run(const arg_map& args) {
+int cmd_run(cli::args& args) {
     sim::mc_options opts;
-    opts.trials = args.get<std::size_t>("trials", 120);
-    opts.seed = args.get<std::uint64_t>("seed", sim::kDefaultSeed);
-    opts.threads = args.get<unsigned>("threads", 1);
-    opts.checkpoint_path = args.text("checkpoint", "");
-    opts.checkpoint_interval = args.get<std::size_t>("checkpoint-interval", 1);
+    opts.trials = args.get<std::size_t>("trials", 120, "Monte-Carlo trials");
+    opts.seed = args.get("seed", sim::kDefaultSeed, "master seed");
+    opts.threads = args.get("threads", 1U, "worker threads");
+    opts.checkpoint_path = args.text("checkpoint", "", "journal file");
+    opts.checkpoint_interval =
+        args.get<std::size_t>("checkpoint-interval", 1, "flush the journal every K trials");
 
     sim::fault_plan plan;
-    plan.exit_at_trial = args.get<std::size_t>("crash-after", sim::fault_plan::kNever);
-    plan.cancel_after_trial = args.get<std::size_t>("cancel-after", sim::fault_plan::kNever);
-    plan.torn_write_flush = args.get<std::size_t>("torn-write", sim::fault_plan::kNever);
+    plan.exit_at_trial = args.get("crash-after", kNever, "_Exit(9) before trial N");
+    plan.cancel_after_trial = args.get("cancel-after", kNever, "cancel after trial N");
+    plan.torn_write_flush = args.get("torn-write", kNever, "tear checkpoint flush F on disk");
     plan.torn_write_offset = 50;
-    plan.short_write_flush = args.get<std::size_t>("short-write", sim::fault_plan::kNever);
+    plan.short_write_flush = args.get("short-write", kNever, "truncate checkpoint flush F");
     plan.short_write_bytes = 20;
-    const bool any_fault = plan.exit_at_trial != sim::fault_plan::kNever ||
-                           plan.cancel_after_trial != sim::fault_plan::kNever ||
-                           plan.torn_write_flush != sim::fault_plan::kNever ||
-                           plan.short_write_flush != sim::fault_plan::kNever;
-    if (any_fault) sim::install_fault_plan(plan);
 
     // The workload itself is fixed: the selftest is about the journal, so
     // only the Monte-Carlo identity (seed, trials) varies.
@@ -141,7 +101,12 @@ int cmd_run(const arg_map& args) {
     cfg.strategy = fixed_exponent(2.5);
     cfg.ell = 16;
     cfg.budget = 4000;
-    cfg.max_steps = args.get<std::uint64_t>("max-steps-per-trial", 0);
+    cfg.max_steps = args.get<std::uint64_t>("max-steps-per-trial", 0, "step cap (0 = off)");
+    const std::string out_path = args.text("out", "", "per-trial CSV file (empty = stdout)");
+    args.finish();
+    const bool any_fault = plan.exit_at_trial != kNever || plan.cancel_after_trial != kNever ||
+                           plan.torn_write_flush != kNever || plan.short_write_flush != kNever;
+    if (any_fault) sim::install_fault_plan(plan);
 
     const auto results = sim::monte_carlo_collect(
         opts, [&cfg](std::size_t, rng& g) { return sim::parallel_walk_trial(cfg, g); });
@@ -153,26 +118,18 @@ int cmd_run(const arg_map& args) {
         csv << i << ',' << results[i].hit << ',' << results[i].time << ','
             << results[i].censored << '\n';
     }
-    const std::string out_path = args.text("out", "");
-    if (out_path.empty()) {
-        std::cout << csv.str();
-    } else {
-        std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-        out << csv.str();
-        if (!out.good()) throw std::runtime_error("levyfault: cannot write " + out_path);
-    }
+    emit(csv.str(), out_path);
     return 0;
 }
 
-int cmd_shardrun(const arg_map& args) {
+int cmd_shardrun(cli::args& args) {
     sim::mc_options opts;
-    opts.trials = args.get<std::size_t>("trials", 6);
-    opts.seed = args.get<std::uint64_t>("seed", 4242);
-    opts.threads = args.get<unsigned>("threads", 1);
+    opts.trials = args.get<std::size_t>("trials", 6, "Monte-Carlo trials");
+    opts.seed = args.get<std::uint64_t>("seed", 4242, "master seed");
+    opts.threads = args.get("threads", 1U, "worker threads");
 
     sim::fault_plan plan;
-    plan.exit_at_shard_spill = args.get<std::size_t>("kill-at-spill", sim::fault_plan::kNever);
-    if (plan.exit_at_shard_spill != sim::fault_plan::kNever) sim::install_fault_plan(plan);
+    plan.exit_at_shard_spill = args.get("kill-at-spill", kNever, "_Exit(9) at the N-th spill");
 
     // Fixed workload: the drill is about the spill files, so only the
     // sharding knobs and the Monte-Carlo identity vary.
@@ -181,9 +138,13 @@ int cmd_shardrun(const arg_map& args) {
     cfg.strategy = fixed_exponent(2.5);
     cfg.ell = 24;
     cfg.budget = 3000;
-    cfg.shards = args.get<std::size_t>("shards", 0);
-    cfg.memory_budget = args.get<std::uint64_t>("memory-budget", 0);
-    cfg.spill_dir = args.text("spill-dir", "");
+    sim::shard_options& s = cfg.sharding;
+    s.shards = args.get("shards", s.shards, "walker-id shards (<= 1 = in-memory)");
+    s.memory_budget = args.get<std::uint64_t>("memory-budget", 0, "resident bytes (0 = no cap)");
+    s.spill_dir = args.text("spill-dir", "", "spill directory (empty = a temp dir)");
+    const std::string out_path = args.text("out", "", "per-trial CSV file (empty = stdout)");
+    args.finish();
+    if (plan.exit_at_shard_spill != kNever) sim::install_fault_plan(plan);
 
     const auto results = sim::monte_carlo_collect(
         opts, [&cfg](std::size_t, rng& g) { return sim::parallel_walk_trial(cfg, g); });
@@ -196,14 +157,7 @@ int cmd_shardrun(const arg_map& args) {
         csv << i << ',' << results[i].hit << ',' << results[i].time << ','
             << results[i].winner << ',' << results[i].winner_alpha << '\n';
     }
-    const std::string out_path = args.text("out", "");
-    if (out_path.empty()) {
-        std::cout << csv.str();
-    } else {
-        std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-        out << csv.str();
-        if (!out.good()) throw std::runtime_error("levyfault: cannot write " + out_path);
-    }
+    emit(csv.str(), out_path);
     return 0;
 }
 
@@ -226,9 +180,11 @@ int fail(const std::string& what) {
     return 1;
 }
 
-int cmd_selftest(const std::string& self, const arg_map& args) {
+int cmd_selftest(const std::string& self, cli::args& args) {
     namespace fs = std::filesystem;
-    const fs::path dir = args.text("dir", (fs::temp_directory_path() / "levyfault_selftest").string());
+    const fs::path dir = args.text(
+        "dir", (fs::temp_directory_path() / "levyfault_selftest").string(), "scratch directory");
+    args.finish();
     fs::remove_all(dir);
     fs::create_directories(dir);
     const auto p = [&dir](const std::string& name) { return (dir / name).string(); };
@@ -285,10 +241,11 @@ int cmd_selftest(const std::string& self, const arg_map& args) {
     return 0;
 }
 
-int cmd_shards_drill(const std::string& self, const arg_map& args) {
+int cmd_shards_drill(const std::string& self, cli::args& args) {
     namespace fs = std::filesystem;
-    const fs::path dir =
-        args.text("dir", (fs::temp_directory_path() / "levyfault_shards").string());
+    const fs::path dir = args.text(
+        "dir", (fs::temp_directory_path() / "levyfault_shards").string(), "scratch directory");
+    args.finish();
     fs::remove_all(dir);
     fs::create_directories(dir);
     const auto p = [&dir](const std::string& name) { return (dir / name).string(); };
@@ -376,7 +333,8 @@ int serve_fail(serve::server& server, const std::string& what) {
     return 1;
 }
 
-int cmd_serve_drills() {
+int cmd_serve_drills(cli::args& args) {
+    args.finish();
     // One worker and a tiny queue: if any drill wedged the worker, the
     // follow-up health check could never answer.
     serve::serve_options opts;
@@ -448,39 +406,33 @@ int cmd_serve_drills() {
 
 #else
 
-int cmd_serve_drills() {
+int cmd_serve_drills(cli::args& args) {
+    args.finish();
     std::cerr << "levyfault serve requires POSIX sockets on this platform\n";
     return 2;
 }
 
 #endif  // LEVY_SERVE_HAVE_POSIX_SOCKETS
 
-void usage() {
-    std::cout << "levyfault <run|shardrun|selftest|shards|serve> [--flag=value ...]   (see source header)\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     try {
-        if (argc < 2) {
-            usage();
-            return 2;
-        }
-        const std::string_view cmd = argv[1];
-        const arg_map args(argc, argv, 2);
+        cli::args args(argc, argv);
+        const std::vector<std::string>& command =
+            args.positional("<run|shardrun|selftest|shards|serve>");
+        const std::string cmd = command.size() == 1 ? command.front() : "";
         if (cmd == "run") return cmd_run(args);
         if (cmd == "shardrun") return cmd_shardrun(args);
         if (cmd == "selftest") return cmd_selftest(argv[0], args);
         if (cmd == "shards") return cmd_shards_drill(argv[0], args);
-        if (cmd == "serve") return cmd_serve_drills();
-        usage();
-        return 2;
+        if (cmd == "serve") return cmd_serve_drills(args);
+        args.finish();
+        throw std::invalid_argument("need one of run, shardrun, selftest, shards, serve");
     } catch (const sim::run_cancelled&) {
         std::cerr << "levyfault: cancelled (journal flushed)\n";
         return 130;
     } catch (const std::exception& e) {
-        std::cerr << "levyfault: " << e.what() << '\n';
-        return 1;
+        return cli::exit_status("levyfault", e);
     }
 }

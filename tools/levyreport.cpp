@@ -30,11 +30,13 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/obs/json.h"
 #include "src/obs/report.h"
+#include "src/sim/experiment.h"
 #include "src/stats/table.h"
 
 namespace {
@@ -234,36 +236,24 @@ int main(int argc, char** argv) {
     bool check_mode = false;
     std::optional<double> fail_on_regression_pct;
     std::vector<std::string> dirs;
-    constexpr const char* kUsage =
-        "usage: levyreport [--check] [--fail-on-regression=PCT] DIR [BASELINE_DIR]\n";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--check") {
-            check_mode = true;
-        } else if (arg.rfind("--fail-on-regression=", 0) == 0) {
-            const auto pct = leading_number(arg.substr(std::string("--fail-on-regression=").size()));
-            if (!pct || *pct < 0.0) {
-                std::cerr << "levyreport: --fail-on-regression needs a percentage >= 0\n";
-                return 1;
-            }
-            fail_on_regression_pct = pct;
-        } else if (arg == "--help" || arg == "-h") {
-            std::cout << kUsage;
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "levyreport: unknown flag " << arg << '\n';
-            return 1;
-        } else {
-            dirs.push_back(arg);
+    try {
+        levy::cli::args args(argc, argv);
+        check_mode = args.has("check", "validate every document against schema v1");
+        const double pct = args.get("fail-on-regression", 0.0,
+                                    "exit 1 if trials/s fell > PCT% below BASELINE_DIR (off "
+                                    "unless given)");
+        if (args.has("fail-on-regression")) fail_on_regression_pct = pct;
+        dirs = args.positional("DIR [BASELINE_DIR]");
+        args.finish();
+        if (pct < 0.0) throw std::invalid_argument("--fail-on-regression needs a percentage >= 0");
+        if (dirs.empty() || dirs.size() > 2 || (check_mode && dirs.size() != 1)) {
+            throw std::invalid_argument("need DIR [BASELINE_DIR] (--check takes one DIR)");
         }
-    }
-    if (dirs.empty() || dirs.size() > 2 || (check_mode && dirs.size() != 1) ||
-        (fail_on_regression_pct && dirs.size() != 2)) {
         if (fail_on_regression_pct && dirs.size() != 2) {
-            std::cerr << "levyreport: --fail-on-regression requires a BASELINE_DIR\n";
+            throw std::invalid_argument("--fail-on-regression requires a BASELINE_DIR");
         }
-        std::cerr << kUsage;
-        return 1;
+    } catch (const std::exception& e) {
+        return levy::cli::exit_status("levyreport", e);
     }
     try {
         const std::vector<loaded_doc> docs = load_dir(dirs[0]);

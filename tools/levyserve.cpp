@@ -1,31 +1,25 @@
 // levyserve — overload-safe search-as-a-service for parallel Lévy walks.
 //
-// Subcommands:
-//   levyserve serve [--port=P] [--workers=W] [--queue-capacity=Q]
-//                   [--deadline-ms=D] [--max-deadline-ms=M] [--steps-per-ms=S]
-//                   [--trials=N] [--seed=X] [--cache=PATH]
-//                   [--cache-capacity=C] [--cache-flush-every=K]
-//                   [--port-file=PATH]
-//                   [--fault-exit-at-cache-flush=N] [--fault-throw-at-query=N]
+// Subcommands (`levyserve <command> --help` lists each one's flags):
+//   levyserve serve
 //       Run the daemon (see src/serve/server.h for the endpoints and the
 //       admission → deadline → degradation ladder) until SIGTERM/SIGINT.
 //       --port-file writes the bound port for a parent process to read.
 //       The --fault-* flags install a sim::fault_plan for the drills below.
 //
-//   levyserve replay --port=P --out=FILE --batch=exact|tight [--count=N]
+//   levyserve replay --port=P --out=FILE --batch=exact|tight
 //       Issue the deterministic query batch `batch` against a running
 //       server and concatenate the response bodies into FILE. Responses
 //       contain no wall-clock content, so two replays of the same batch
 //       against equivalently-configured servers must produce byte-identical
 //       files — the selftest's yardstick. Exit 0 = every request answered.
 //
-//   levyserve loadgen --port=P [--requests=N] [--concurrency=C]
-//                     [--path=TARGET]
+//   levyserve loadgen --port=P
 //       Closed-loop load (src/serve/loadgen.h); prints key=value counters
 //       and p50/p95/p99 latency. Exit 0 iff no non-503 5xx and no
 //       transport errors.
 //
-//   levyserve selftest [--dir=DIR]
+//   levyserve selftest
 //       Spawns itself end to end: populate the result cache with exact
 //       answers, take tight-deadline (cache-served) answers, kill -9 the
 //       server, restart on the same cache file, and byte-compare both
@@ -34,22 +28,21 @@
 //       yields byte-identical exact answers. Exit 0 = all bytes equal.
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/serve/http.h"
 #include "src/serve/loadgen.h"
 #include "src/serve/server.h"
+#include "src/sim/experiment.h"
 #include "src/sim/fault.h"
 #include "src/sim/monte_carlo.h"
 
@@ -63,76 +56,31 @@ namespace {
 
 using namespace levy;
 
-class arg_map {
-public:
-    arg_map(int argc, char** argv, int first) {
-        for (int i = first; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.substr(0, 2) != "--") {
-                throw std::invalid_argument("expected --flag[=value], got: " +
-                                            std::string(arg));
-            }
-            const auto eq = arg.find('=');
-            if (eq == std::string_view::npos) {
-                values_[std::string(arg.substr(2))] = "";
-            } else {
-                values_[std::string(arg.substr(2, eq - 2))] =
-                    std::string(arg.substr(eq + 1));
-            }
-        }
-    }
-
-    [[nodiscard]] bool has(const std::string& key) const { return values_.contains(key); }
-
-    [[nodiscard]] std::string text(const std::string& key, const std::string& fallback) const {
-        const auto it = values_.find(key);
-        return it == values_.end() ? fallback : it->second;
-    }
-
-    template <class T>
-    [[nodiscard]] T get(const std::string& key, T fallback) const {
-        const auto it = values_.find(key);
-        if (it == values_.end()) return fallback;
-        T value{};
-        const auto& text = it->second;
-        const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-        if (ec != std::errc{} || ptr != text.data() + text.size()) {
-            throw std::invalid_argument("bad value for --" + key + ": " + text);
-        }
-        return value;
-    }
-
-private:
-    std::map<std::string, std::string> values_;
-};
-
 volatile std::sig_atomic_t g_stop = 0;
 extern "C" void levyserve_stop_handler(int) { g_stop = 1; }
 
-serve::serve_options options_from(const arg_map& args) {
+int cmd_serve(cli::args& args) {
     serve::serve_options opts;
-    opts.port = args.get<unsigned short>("port", 0);
-    opts.workers = args.get<unsigned>("workers", 2);
-    opts.queue_capacity = args.get<std::size_t>("queue-capacity", 64);
-    opts.default_deadline_ms = args.get<std::uint64_t>("deadline-ms", 200);
-    opts.max_deadline_ms = args.get<std::uint64_t>("max-deadline-ms", 60'000);
-    opts.steps_per_ms = args.get<std::uint64_t>("steps-per-ms", 20'000);
-    opts.default_trials = args.get<std::size_t>("trials", 200);
-    opts.seed = args.get<std::uint64_t>("seed", sim::kDefaultSeed);
-    opts.cache_path = args.text("cache", "");
-    opts.cache.capacity = args.get<std::size_t>("cache-capacity", 4096);
-    opts.cache_flush_every = args.get<std::size_t>("cache-flush-every", 16);
-    return opts;
-}
-
-int cmd_serve(const arg_map& args) {
-    const serve::serve_options opts = options_from(args);
-
+    opts.port = args.get<unsigned short>("port", 0, "listen port (0 = ephemeral)");
+    opts.workers = args.get("workers", 2U, "worker threads");
+    opts.queue_capacity = args.get<std::size_t>("queue-capacity", 64, "admission-queue capacity");
+    opts.default_deadline_ms = args.get<std::uint64_t>("deadline-ms", 200, "default deadline");
+    opts.max_deadline_ms = args.get<std::uint64_t>("max-deadline-ms", 60'000, "deadline ceiling");
+    opts.steps_per_ms =
+        args.get<std::uint64_t>("steps-per-ms", 20'000, "engine steps one deadline ms buys");
+    opts.default_trials = args.get<std::size_t>("trials", 200, "default trials per query");
+    opts.seed = args.get("seed", sim::kDefaultSeed, "default seed");
+    opts.cache_path = args.text("cache", "", "persist the result cache to PATH");
+    opts.cache.capacity = args.get<std::size_t>("cache-capacity", 4096, "cache entries");
+    opts.cache_flush_every =
+        args.get<std::size_t>("cache-flush-every", 16, "flush the cache every K inserts");
+    const std::string port_file =
+        args.text("port-file", "", "write the bound port to PATH once listening");
     sim::fault_plan plan;
     plan.exit_at_cache_flush =
-        args.get<std::size_t>("fault-exit-at-cache-flush", sim::fault_plan::kNever);
-    plan.throw_at_query =
-        args.get<std::size_t>("fault-throw-at-query", sim::fault_plan::kNever);
+        args.get("fault-exit-at-cache-flush", sim::fault_plan::kNever, "fault drill");
+    plan.throw_at_query = args.get("fault-throw-at-query", sim::fault_plan::kNever, "fault drill");
+    args.finish();
     if (plan.exit_at_cache_flush != sim::fault_plan::kNever ||
         plan.throw_at_query != sim::fault_plan::kNever) {
         sim::install_fault_plan(plan);
@@ -141,7 +89,6 @@ int cmd_serve(const arg_map& args) {
     serve::server server(opts);
     const unsigned short port = server.start();
     std::cout << "levyserve listening on port " << port << "\n" << std::flush;
-    const std::string port_file = args.text("port-file", "");
     if (!port_file.empty()) {
         // Write then rename so the parent never reads a torn port number.
         const std::string tmp = port_file + ".tmp";
@@ -194,13 +141,15 @@ std::vector<std::string> batch_paths(const std::string& batch, std::size_t count
     return paths;
 }
 
-int cmd_replay(const arg_map& args) {
-    const auto port = args.get<unsigned short>("port", 0);
+int cmd_replay(cli::args& args) {
+    const auto port = args.get<unsigned short>("port", 0, "server port (required)");
+    const std::string out_path = args.text("out", "", "write the response bodies to FILE");
+    const std::string batch = args.text("batch", "exact", "query batch, exact or tight");
+    const auto count = args.get<std::size_t>("count", 24, "requests in the batch");
+    args.finish();
     if (port == 0) throw std::invalid_argument("levyserve replay: need --port");
-    const std::string out_path = args.text("out", "");
     if (out_path.empty()) throw std::invalid_argument("levyserve replay: need --out");
-    const std::vector<std::string> paths =
-        batch_paths(args.text("batch", "exact"), args.get<std::size_t>("count", 24));
+    const std::vector<std::string> paths = batch_paths(batch, count);
 
     std::ostringstream out;
     std::size_t failures = 0;
@@ -228,14 +177,16 @@ int cmd_replay(const arg_map& args) {
     return 0;
 }
 
-int cmd_loadgen(const arg_map& args) {
+int cmd_loadgen(cli::args& args) {
     serve::loadgen_options opts;
-    opts.port = args.get<unsigned short>("port", 0);
+    opts.port = args.get<unsigned short>("port", 0, "server port (required)");
+    opts.requests = args.get<std::size_t>("requests", 200, "total requests");
+    opts.concurrency = args.get("concurrency", 16U, "closed-loop clients");
+    opts.timeout_seconds = args.get("timeout", 30.0, "per-request timeout in seconds");
+    const std::string path = args.text("path", "", "request target (empty = loadgen's mix)");
+    args.finish();
     if (opts.port == 0) throw std::invalid_argument("levyserve loadgen: need --port");
-    opts.requests = args.get<std::size_t>("requests", 200);
-    opts.concurrency = args.get<unsigned>("concurrency", 16);
-    opts.timeout_seconds = args.get<double>("timeout", 30.0);
-    if (args.has("path")) opts.paths = {args.text("path", "/healthz")};
+    if (!path.empty()) opts.paths = {path};
 
     const serve::loadgen_report report = serve::run_loadgen(opts);
     std::cout << "sent=" << report.sent << "\n"
@@ -336,10 +287,11 @@ int run_child(const std::string& self, const std::string& args) {
     return std::system(cmd.c_str());
 }
 
-int cmd_selftest(const std::string& self, const arg_map& args) {
+int cmd_selftest(const std::string& self, cli::args& args) {
     namespace fs = std::filesystem;
-    const fs::path dir =
-        args.text("dir", (fs::temp_directory_path() / "levyserve_selftest").string());
+    const fs::path dir = args.text(
+        "dir", (fs::temp_directory_path() / "levyserve_selftest").string(), "scratch directory");
+    args.finish();
     fs::remove_all(dir);
     fs::create_directories(dir);
     const auto p = [&dir](const std::string& name) { return (dir / name).string(); };
@@ -437,30 +389,22 @@ int cmd_selftest(const std::string& self, const arg_map& args) {
     return 0;
 }
 
-void usage() {
-    std::cout << "levyserve <serve|replay|loadgen|selftest> [--flag=value ...]   "
-                 "(see source header)\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     try {
-        if (argc < 2) {
-            usage();
-            return 2;
-        }
-        const std::string_view cmd = argv[1];
-        const arg_map args(argc, argv, 2);
+        cli::args args(argc, argv);
+        const std::vector<std::string>& command =
+            args.positional("<serve|replay|loadgen|selftest>");
+        const std::string cmd = command.size() == 1 ? command.front() : "";
         if (cmd == "serve") return cmd_serve(args);
         if (cmd == "replay") return cmd_replay(args);
         if (cmd == "loadgen") return cmd_loadgen(args);
         if (cmd == "selftest") return cmd_selftest(argv[0], args);
-        usage();
-        return 2;
+        args.finish();
+        throw std::invalid_argument("need one of serve, replay, loadgen, selftest");
     } catch (const std::exception& e) {
-        std::cerr << "levyserve: " << e.what() << '\n';
-        return 1;
+        return cli::exit_status("levyserve", e);
     }
 }
 

@@ -1,23 +1,20 @@
 // levysim — command-line driver for the library.
 //
-// Subcommands:
-//   levysim walk     --alpha=A --steps=N [--seed=X]          trajectory CSV to stdout
-//   levysim hit      --alpha=A --ell=L --budget=B [--trials=N] [--seed=X]
-//   levysim parallel --k=K --ell=L --budget=B [--alpha=A | --random] [--trials=N]
-//   levysim sweep    --k=K --ell=L [--trials=N]              alpha sweep table
-//   levysim occupancy --alpha=A --steps=T [--radius=R]       exact DP heatmap
+// Subcommands (`levysim <command> --help` lists each one's flags):
+//   levysim walk       trajectory CSV to stdout
+//   levysim hit        single-walk hit probability
+//   levysim parallel   k parallel walks: hit rate and hitting times
+//   levysim sweep      alpha sweep table
+//   levysim occupancy  exact DP heatmap
 //
 // Everything is reproducible per --seed; see README for the library API.
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
-#include <map>
-#include <optional>
+#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/analysis/occupancy.h"
@@ -34,46 +31,11 @@ namespace {
 
 using namespace levy;
 
-class arg_map {
-public:
-    arg_map(int argc, char** argv, int first) {
-        for (int i = first; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.substr(0, 2) != "--") {
-                throw std::invalid_argument("expected --flag[=value], got: " + std::string(arg));
-            }
-            const auto eq = arg.find('=');
-            if (eq == std::string_view::npos) {
-                values_[std::string(arg.substr(2))] = "";
-            } else {
-                values_[std::string(arg.substr(2, eq - 2))] = std::string(arg.substr(eq + 1));
-            }
-        }
-    }
-
-    [[nodiscard]] bool has(const std::string& key) const { return values_.contains(key); }
-
-    template <class T>
-    [[nodiscard]] T get(const std::string& key, T fallback) const {
-        const auto it = values_.find(key);
-        if (it == values_.end()) return fallback;
-        T value{};
-        const auto& text = it->second;
-        const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-        if (ec != std::errc{} || ptr != text.data() + text.size()) {
-            throw std::invalid_argument("bad value for --" + key + ": " + text);
-        }
-        return value;
-    }
-
-private:
-    std::map<std::string, std::string> values_;
-};
-
-int cmd_walk(const arg_map& args) {
-    const double alpha = args.get("alpha", 2.5);
-    const auto steps = args.get<std::uint64_t>("steps", 1000);
-    const auto seed = args.get<std::uint64_t>("seed", sim::kDefaultSeed);
+int cmd_walk(cli::args& args) {
+    const double alpha = args.get("alpha", 2.5, "jump exponent");
+    const auto steps = args.get<std::uint64_t>("steps", 1000, "steps to print");
+    const auto seed = args.get("seed", sim::kDefaultSeed, "master seed");
+    args.finish();
     levy_walk w(alpha, rng::seeded(seed));
     std::cout << "step,x,y,phase\n0,0,0,0\n";
     for (std::uint64_t t = 1; t <= steps; ++t) {
@@ -83,13 +45,14 @@ int cmd_walk(const arg_map& args) {
     return 0;
 }
 
-int cmd_hit(const arg_map& args) {
+int cmd_hit(cli::args& args) {
     sim::single_walk_config cfg;
-    cfg.alpha = args.get("alpha", 2.5);
-    cfg.ell = args.get<std::int64_t>("ell", 64);
-    cfg.budget = args.get<std::uint64_t>("budget", 100000);
-    const auto trials = args.get<std::size_t>("trials", 1000);
-    const auto seed = args.get<std::uint64_t>("seed", sim::kDefaultSeed);
+    cfg.alpha = args.get("alpha", 2.5, "jump exponent");
+    cfg.ell = args.get<std::int64_t>("ell", 64, "target distance");
+    cfg.budget = args.get<std::uint64_t>("budget", 100000, "step budget");
+    const auto trials = args.get<std::size_t>("trials", 1000, "Monte-Carlo trials");
+    const auto seed = args.get("seed", sim::kDefaultSeed, "master seed");
+    args.finish();
     const auto p = sim::single_hit_probability(cfg, {.trials = trials, .threads = 0, .seed = seed});
     std::cout << "P(tau_" << cfg.alpha << " <= " << cfg.budget << ") for ell=" << cfg.ell
               << ": " << p.estimate() << "  (95% CI [" << p.lo << ", " << p.hi << "], "
@@ -97,33 +60,44 @@ int cmd_hit(const arg_map& args) {
     return 0;
 }
 
-int cmd_parallel(const arg_map& args) {
+int cmd_parallel(cli::args& args) {
     sim::parallel_walk_config cfg;
-    cfg.k = args.get<std::size_t>("k", 32);
-    cfg.ell = args.get<std::int64_t>("ell", 64);
-    cfg.budget = args.get<std::uint64_t>("budget", 100000);
-    cfg.strategy = args.has("random")
-                       ? uniform_exponent()
-                       : fixed_exponent(args.get("alpha", optimal_alpha(
-                                                              static_cast<double>(cfg.k),
-                                                              static_cast<double>(cfg.ell))));
-    const auto trials = args.get<std::size_t>("trials", 200);
-    const auto seed = args.get<std::uint64_t>("seed", sim::kDefaultSeed);
+    cfg.k = args.get<std::size_t>("k", 32, "walkers");
+    cfg.ell = args.get<std::int64_t>("ell", 64, "target distance");
+    cfg.budget = args.get<std::uint64_t>("budget", 100000, "step budget");
+    const bool random = args.has("random", "draw each walker's alpha from U(2,3)");
+    const double alpha = args.get("alpha", 0.0, "common exponent (unset: alpha*(k, ell))");
+    const bool given_alpha = args.has("alpha");
+    const auto trials = args.get<std::size_t>("trials", 200, "Monte-Carlo trials");
+    const auto seed = args.get("seed", sim::kDefaultSeed, "master seed");
+    args.finish();
+    if (random && given_alpha) {
+        throw std::invalid_argument("--alpha and --random exclude each other");
+    }
+    if (random) {
+        cfg.strategy = uniform_exponent();
+    } else {
+        cfg.strategy = fixed_exponent(
+            given_alpha
+                ? alpha
+                : optimal_alpha(static_cast<double>(cfg.k), static_cast<double>(cfg.ell)));
+    }
     const auto sample =
         sim::parallel_hitting_times(cfg, {.trials = trials, .threads = 0, .seed = seed});
     std::cout << "k=" << cfg.k << " ell=" << cfg.ell << " budget=" << cfg.budget
-              << (args.has("random") ? " strategy=U(2,3)" : " strategy=fixed") << "\n"
+              << (random ? " strategy=U(2,3)" : " strategy=fixed") << "\n"
               << "hit rate: " << sample.hit_fraction()
               << ", median tau^k: " << stats::median(sample.times)
               << ", mean: " << stats::summarize(sample.times).mean() << "\n";
     return 0;
 }
 
-int cmd_sweep(const arg_map& args) {
-    const auto k = args.get<std::size_t>("k", 32);
-    const auto ell = args.get<std::int64_t>("ell", 128);
-    const auto trials = args.get<std::size_t>("trials", 60);
-    const auto seed = args.get<std::uint64_t>("seed", sim::kDefaultSeed);
+int cmd_sweep(cli::args& args) {
+    const auto k = args.get<std::size_t>("k", 32, "walkers");
+    const auto ell = args.get<std::int64_t>("ell", 128, "target distance");
+    const auto trials = args.get<std::size_t>("trials", 60, "Monte-Carlo trials per alpha");
+    const auto seed = args.get("seed", sim::kDefaultSeed, "master seed");
+    args.finish();
     const double alpha_star = optimal_alpha(static_cast<double>(k), static_cast<double>(ell));
     stats::text_table table({"alpha", "hit rate", "median tau^k"});
     for (double alpha = 2.05; alpha < 3.0; alpha += 0.1) {
@@ -143,10 +117,11 @@ int cmd_sweep(const arg_map& args) {
     return 0;
 }
 
-int cmd_occupancy(const arg_map& args) {
-    const double alpha = args.get("alpha", 2.5);
-    const auto steps = args.get<std::uint64_t>("steps", 4);
-    const auto radius = args.get<std::int64_t>("radius", 10);
+int cmd_occupancy(cli::args& args) {
+    const double alpha = args.get("alpha", 2.5, "jump exponent");
+    const auto steps = args.get<std::uint64_t>("steps", 4, "flight steps");
+    const auto radius = args.get<std::int64_t>("radius", 10, "half-width of the tracked window");
+    args.finish();
     analysis::flight_occupancy occ(alpha, radius);
     occ.advance(steps);
     // Log-scale ASCII heatmap: darker = more probable.
@@ -168,27 +143,16 @@ int cmd_occupancy(const arg_map& args) {
     return 0;
 }
 
-void usage() {
-    std::cout <<
-        "levysim <command> [--flag=value ...]\n"
-        "  walk       --alpha --steps --seed            trajectory CSV\n"
-        "  hit        --alpha --ell --budget --trials   single-walk hit probability\n"
-        "  parallel   --k --ell --budget [--random|--alpha] --trials\n"
-        "  sweep      --k --ell --trials                exponent sweep table\n"
-        "  occupancy  --alpha --steps --radius          exact DP heatmap\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
     try {
-        if (argc < 2) {
-            usage();
-            return 2;
-        }
-        const std::string_view cmd = argv[1];
-        const arg_map args(argc, argv, 2);
-        int rc = 2;
+        cli::args args(argc, argv);
+        const std::vector<std::string>& command =
+            args.positional("<walk|hit|parallel|sweep|occupancy>");
+        if (command.size() > 1) throw std::invalid_argument("unexpected argument " + command[1]);
+        const std::string cmd = command.empty() ? "" : command.front();
+        int rc = 0;
         if (cmd == "walk") {
             rc = cmd_walk(args);
         } else if (cmd == "hit") {
@@ -200,7 +164,9 @@ int main(int argc, char** argv) {
         } else if (cmd == "occupancy") {
             rc = cmd_occupancy(args);
         } else {
-            usage();
+            args.finish();
+            throw std::invalid_argument(cmd.empty() ? "need a command (--help lists them)"
+                                                    : "unknown command " + cmd);
         }
         // Throughput goes to stderr so the CSV-emitting commands stay clean.
         const auto metrics = sim::metrics_snapshot();
@@ -209,7 +175,6 @@ int main(int argc, char** argv) {
         }
         return rc;
     } catch (const std::exception& e) {
-        std::cerr << "levysim: " << e.what() << '\n';
-        return 1;
+        return cli::exit_status("levysim", e);
     }
 }

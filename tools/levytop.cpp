@@ -16,14 +16,14 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>  // levylint:allow(raw-thread) client-side poll sleep only
 
 #include "src/obs/json.h"
+#include "src/sim/experiment.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
@@ -38,59 +38,12 @@
 namespace {
 
 struct options {
-    std::string host = "127.0.0.1";
-    int port = -1;
+    std::string host;
+    int port = 0;
     double interval = 1.0;
     bool once = false;
     bool raw = false;
 };
-
-[[noreturn]] void usage(int code) {
-    std::fputs(
-        "usage: levytop --port=P [--host=H] [--interval=SECS] [--once] [--raw]\n"
-        "Polls the /progress endpoint a bench serves under --metrics-port=P.\n",
-        code == 0 ? stdout : stderr);
-    std::exit(code);
-}
-
-options parse(int argc, char** argv) {
-    options opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        const auto value = [&](std::string_view flag) -> std::optional<std::string> {
-            if (arg.substr(0, flag.size()) != flag || arg.size() <= flag.size() ||
-                arg[flag.size()] != '=') {
-                return std::nullopt;
-            }
-            return std::string(arg.substr(flag.size() + 1));
-        };
-        if (auto p = value("--port")) {
-            opts.port = std::atoi(p->c_str());
-        } else if (auto h = value("--host")) {
-            opts.host = *h;
-        } else if (auto s = value("--interval")) {
-            opts.interval = std::atof(s->c_str());
-        } else if (arg == "--once") {
-            opts.once = true;
-        } else if (arg == "--raw") {
-            opts.raw = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else {
-            std::fprintf(stderr, "levytop: unknown argument: %s\n", argv[i]);
-            usage(1);
-        }
-    }
-    if (opts.port < 0 || opts.port > 65535) {
-        std::fputs("levytop: --port=P is required (1..65535)\n", stderr);
-        usage(1);
-    }
-    if (!(opts.interval > 0.0)) {
-        std::fputs("levytop: --interval must be positive\n", stderr);
-        usage(1);
-    }
-    return opts;
-}
 
 /// One GET over a fresh connection (the exporter answers Connection: close).
 /// Returns the response body, or nullopt when unreachable/malformed.
@@ -209,7 +162,22 @@ void render(const std::string& body, const options& opts, bool redraw) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const options opts = parse(argc, argv);
+    options opts;
+    try {
+        levy::cli::args args(argc, argv);
+        opts.port = args.get("port", 0, "the bench's --metrics-port (required, 1..65535)");
+        opts.host = args.text("host", "127.0.0.1", "host the bench runs on");
+        opts.interval = args.get("interval", 1.0, "refresh period in seconds");
+        opts.once = args.has("once", "print one snapshot and exit");
+        opts.raw = args.has("raw", "dump the raw /progress JSON");
+        args.finish();
+        if (opts.port < 1 || opts.port > 65535) {
+            throw std::invalid_argument("--port=P is required (1..65535)");
+        }
+        if (!(opts.interval > 0.0)) throw std::invalid_argument("--interval must be positive");
+    } catch (const std::exception& e) {
+        return levy::cli::exit_status("levytop", e);
+    }
     std::signal(SIGPIPE, SIG_IGN);
     const bool redraw = !opts.once && !opts.raw && ::isatty(::fileno(stdout)) != 0;
     for (;;) {
