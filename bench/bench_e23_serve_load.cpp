@@ -82,7 +82,7 @@ void run(const sim::run_options& opts) {
         if (report.transport_errors != 0) {
             server.stop();
             throw std::runtime_error("E23: " + std::to_string(report.transport_errors) +
-                                     " transport errors (server wedged or died)");
+                                     " transport errors (" + report.transport_causes() + ")");
         }
         const double shed_rate =
             report.sent == 0

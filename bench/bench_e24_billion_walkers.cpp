@@ -1,14 +1,17 @@
 // E24 — out-of-core scale: a billion walkers on a laptop.
 //
-// Theorem 1.5's regime of interest is huge k — the paper's point is that a
-// swarm of parallel Lévy walkers finds the target in O((ℓ²/k) polylog + ℓ)
-// steps, so the interesting sweeps push k far past what fits in RAM as
-// in-memory SoA state (224 bytes/walker ⇒ k = 10⁹ is ~208 GiB). This bench
-// drives the sharded engine (sim/shard_engine) through the same E7-style
-// speedup sweep while the resident set stays bounded by --memory-budget,
-// and reports the spill/reload traffic alongside the hitting times. The
-// results are bit-identical to the in-memory engine at any shard count —
-// what this table adds is the IO cost of being out-of-core.
+// A systems measurement, not a test of the paper's speedup law. It drives
+// the sharded engine (sim/shard_engine) through an E7-style sweep of k while
+// the resident set stays bounded by --memory-budget (in-memory SoA state is
+// 224 bytes/walker ⇒ k = 10⁹ is ~208 GiB), and reports the spill/reload
+// traffic alongside the hitting times. The results are bit-identical to
+// the in-memory engine at any shard count — what this table adds is the IO
+// cost of being out-of-core.
+//
+// At the default ℓ = 64 every k ≥ 4096 exceeds ℓ, so each row sits on the
+// τ ≥ ℓ floor of Thm 1.5 (α* clamps to 2, median τ^k ≈ ℓ) and the
+// p50/(ℓ²/k) column grows with k instead of staying flat: E7, whose k < ℓ,
+// is where the speedup law is checked.
 //
 // Defaults keep CI-sized runs honest (k up to 2²⁰ under a deliberately
 // small budget so eviction actually happens); k grows with --scale⁴, so
@@ -17,8 +20,6 @@
 #include <cmath>
 #include <cstdint>
 #include <iostream>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -34,19 +35,13 @@ namespace {
 
 using namespace levy;
 
-std::uint64_t counter_value(const std::map<std::string, std::uint64_t>& counters,
-                            const std::string& name) {
-    const auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second;
-}
-
 constexpr unsigned kFlags = sim::group::monte_carlo | sim::group::checkpoint |
                             sim::group::watchdog | sim::group::engine | sim::group::sharding;
 
 void run(const sim::run_options& opts) {
-    bench::banner("E24", "Out-of-core sharding: Thm 1.5(a) speedup past RAM",
-                  "tau^k = O((ell^2/k) polylog + ell) holds unchanged when walker state "
-                  "is sharded to disk; sharding costs IO, never correctness");
+    bench::banner("E24", "Out-of-core sharding: spill and load traffic at a bounded resident set",
+                  "none tested here (a systems measurement): results are bit-identical to "
+                  "the in-memory engine; sharding costs IO, never correctness");
 
     const std::int64_t ell = bench::scaled(64, opts.scale);
     // k sweeps with the fourth power of --scale: doubling the scale is 16×
@@ -67,6 +62,10 @@ void run(const sim::run_options& opts) {
         sharding.memory_budget = ks.back() / 8 * sim::walker_block::kBytesPerWalker;
     }
 
+    const obs::counter spills = obs::get_counter("shard.spills");
+    const obs::counter spill_bytes = obs::get_counter("shard.spill_bytes");
+    const obs::counter loads = obs::get_counter("shard.loads");
+    const obs::counter recomputed = obs::get_counter("shard.recomputed");
     stats::text_table table({"k", "alpha*", "hit rate", "cens", "median tau^k",
                              "ell^2/k", "p50/(ell^2/k)", "spills", "loads", "recomp",
                              "spill MiB"});
@@ -90,37 +89,34 @@ void run(const sim::run_options& opts) {
         // bench exists to measure actually appear (results are invariant).
         cfg.sharding.epoch_steps = std::max<std::uint64_t>(1, cfg.budget / 64);
 
-        const auto before = obs::snapshot_metrics().counters;
+        const std::uint64_t spills0 = spills.value();
+        const std::uint64_t spill_bytes0 = spill_bytes.value();
+        const std::uint64_t loads0 = loads.value();
+        const std::uint64_t recomputed0 = recomputed.value();
         const auto mc = opts.mc(/*default_trials=*/8, /*salt=*/k);
         const auto sample = sim::parallel_hitting_times(cfg, mc);
-        const auto after = obs::snapshot_metrics().counters;
 
         const double med = stats::median(sample.times);
         const double ideal = static_cast<double>(ell) * static_cast<double>(ell) /
                              static_cast<double>(k);
         const double spill_mib =
-            static_cast<double>(counter_value(after, "shard.spill_bytes") -
-                                counter_value(before, "shard.spill_bytes")) /
-            (1024.0 * 1024.0);
+            static_cast<double>(spill_bytes.value() - spill_bytes0) / (1024.0 * 1024.0);
         table.add_row(
             {stats::fmt(k), stats::fmt(alpha, 2), stats::fmt(sample.hit_fraction(), 2),
              stats::fmt(sample.censored_fraction(), 2), stats::fmt(med, 0),
              stats::fmt(ideal, 0), stats::fmt(med / ideal, 2),
-             stats::fmt(counter_value(after, "shard.spills") -
-                        counter_value(before, "shard.spills")),
-             stats::fmt(counter_value(after, "shard.loads") -
-                        counter_value(before, "shard.loads")),
-             stats::fmt(counter_value(after, "shard.recomputed") -
-                        counter_value(before, "shard.recomputed")),
-             stats::fmt(spill_mib, 1)});
+             stats::fmt(spills.value() - spills0), stats::fmt(loads.value() - loads0),
+             stats::fmt(recomputed.value() - recomputed0), stats::fmt(spill_mib, 1)});
     }
     table.print(std::cout);
-    std::cout << "\nReading: the hitting-time columns reproduce E7's speedup law while the\n"
-                 "resident set stays under --memory-budget (default: 1/8 of the largest\n"
-                 "sweep point); spills/loads are the IO price of being out-of-core, and\n"
-                 "recomp > 0 would mean corrupt/stale shard files were dropped and\n"
-                 "replayed (results are bit-identical to the in-memory engine either\n"
-                 "way). k grows with --scale^4: --scale=5.7 is the k ~ 10^9 run.\n";
+    std::cout << "\nReading: a systems measurement. spills/loads/spill MiB are the IO price\n"
+                 "of keeping the resident set under --memory-budget (default: 1/8 of the\n"
+                 "largest sweep point), and recomp > 0 would mean corrupt/stale shard\n"
+                 "files were dropped and replayed; results are bit-identical to the\n"
+                 "in-memory engine either way. The hitting-time columns do not show E7's\n"
+                 "speedup law: with k > ell every row sits on the tau >= ell floor (alpha*\n"
+                 "clamps to 2.00, median tau^k ~ ell), so p50/(ell^2/k) grows with k.\n"
+                 "k grows with --scale^4: --scale=5.7 is the k ~ 10^9 run.\n";
 }
 
 }  // namespace

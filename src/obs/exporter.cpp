@@ -13,7 +13,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/progress.h"
 #include "src/serve/http.h"
-#include "src/sim/monte_carlo.h"
 
 #define LEVY_HAVE_POSIX_SOCKETS LEVY_SERVE_HAVE_POSIX_SOCKETS
 #if LEVY_HAVE_POSIX_SOCKETS
@@ -199,19 +198,6 @@ std::string prometheus_text() {
     for (const auto& [name, hist] : view.histograms) {
         append_histogram(out, "levy_" + prometheus_name(name), hist);
     }
-    // Monte-Carlo run totals, so a plain scrape sees throughput without
-    // knowing the registry's counter names.
-    const sim::run_metrics m = sim::metrics_snapshot();
-    out += "# TYPE levy_run_trials_total counter\n";
-    out += "levy_run_trials_total " + fmt_u64(m.trials) + "\n";
-    out += "# TYPE levy_run_censored_total counter\n";
-    out += "levy_run_censored_total " + fmt_u64(m.censored) + "\n";
-    out += "# TYPE levy_run_wall_seconds gauge\n";
-    out += "levy_run_wall_seconds " + fmt_double(m.wall_seconds) + "\n";
-    out += "# TYPE levy_run_busy_seconds gauge\n";
-    out += "levy_run_busy_seconds " + fmt_double(m.busy_seconds) + "\n";
-    out += "# TYPE levy_run_max_workers gauge\n";
-    out += "levy_run_max_workers " + fmt_u64(m.max_workers) + "\n";
     return out;
 }
 

@@ -17,8 +17,8 @@ namespace levy::obs {
 ///
 ///   GET /metrics   Prometheus text exposition format, version 0.0.4:
 ///                  registry counters (`levy_<name>_total`), gauges, and
-///                  fixed-layout histograms (cumulative `le` buckets), plus
-///                  the Monte-Carlo run totals (trials, censored, busy).
+///                  fixed-layout histograms (cumulative `le` buckets) —
+///                  every count, the Monte-Carlo run totals included.
 ///   GET /healthz   200 "ok" — liveness.
 ///   GET /progress  the obs::progress_snapshot as JSON (see progress.h).
 ///

@@ -1,5 +1,6 @@
 #include "src/obs/metrics.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -39,6 +40,13 @@ struct registry_state {
     std::map<std::string, metric_entry> counters;
     std::map<std::string, metric_entry> histograms;
     std::map<std::string, double> gauges;
+
+    /// One slot summed over every shard (caller holds `m`).
+    [[nodiscard]] std::uint64_t sum_locked(std::size_t slot) const noexcept {
+        std::uint64_t total = 0;
+        for (const auto& s : shards) total += s->slots[slot].load(std::memory_order_relaxed);
+        return total;
+    }
 
     std::size_t allocate_locked(std::size_t slots) {
         LEVY_PRECONDITION(next_slot + slots <= kShardSlots,
@@ -114,26 +122,27 @@ void set_gauge(const std::string& name, double value) {
     st.gauges[name] = value;
 }
 
+double raise_gauge(const std::string& name, double value) {
+    LEVY_PRECONDITION(!name.empty(), "obs::raise_gauge: name must be non-empty");
+    registry_state& st = state();
+    std::lock_guard lk(st.m);
+    double& gauge = st.gauges.try_emplace(name, value).first->second;
+    return gauge = std::max(gauge, value);
+}
+
 metrics_view snapshot_metrics() {
     registry_state& st = state();
     std::lock_guard lk(st.m);
-    const auto sum_slot = [&](std::size_t slot) {
-        std::uint64_t total = 0;
-        for (const auto& s : st.shards) {
-            total += s->slots[slot].load(std::memory_order_relaxed);
-        }
-        return total;
-    };
     metrics_view out;
     for (const auto& [name, entry] : st.counters) {
-        out.counters.emplace(name, sum_slot(entry.base));
+        out.counters.emplace(name, st.sum_locked(entry.base));
     }
     for (const auto& [name, entry] : st.histograms) {
         histogram_snapshot h;
         h.spec = entry.spec;
         h.buckets.resize(entry.spec.slots());
         for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-            h.buckets[i] = sum_slot(entry.base + i);
+            h.buckets[i] = st.sum_locked(entry.base + i);
         }
         out.histograms.emplace(name, std::move(h));
     }
@@ -152,6 +161,12 @@ void reset_metrics_registry() {
 
 void counter::add(std::uint64_t n) const {
     tl_shard().slots[slot_].fetch_add(n, std::memory_order_relaxed);
+}
+
+std::uint64_t counter::value() const noexcept {
+    registry_state& st = state();
+    std::lock_guard lk(st.m);
+    return st.sum_locked(slot_);
 }
 
 void histogram_metric::observe(double value) const {

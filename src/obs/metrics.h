@@ -37,6 +37,8 @@ class counter {
 public:
     counter() = default;
     void add(std::uint64_t n = 1) const;
+    /// The total over every shard: one slot, not a full `snapshot_metrics()`.
+    [[nodiscard]] std::uint64_t value() const noexcept;
 
 private:
     friend counter make_counter_handle(std::size_t) noexcept;
@@ -88,7 +90,8 @@ struct metrics_view {
 /// walks all shards and sums. Integer addition commutes, so the merged
 /// totals are bit-identical for any thread count or schedule — the same
 /// determinism contract as the Monte-Carlo driver. Gauges are cold-path
-/// (set under the registry mutex, last write wins).
+/// (set under the registry mutex: set_gauge's last write wins, raise_gauge
+/// keeps the maximum).
 
 /// Find-or-create a counter by name. Re-registering an existing name
 /// returns the same slot; a name collision with a histogram throws.
@@ -100,6 +103,10 @@ struct metrics_view {
                                              const histogram_spec& spec);
 
 void set_gauge(const std::string& name, double value);
+
+/// A high-water mark: raise gauge `name` to at least `value` (creating it)
+/// and return its new value, so `raise_gauge(name, 0)` reads it.
+double raise_gauge(const std::string& name, double value);
 
 [[nodiscard]] metrics_view snapshot_metrics();
 

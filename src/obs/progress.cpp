@@ -14,7 +14,6 @@
 
 #include "src/core/contracts.h"
 #include "src/obs/metrics.h"
-#include "src/sim/monte_carlo.h"
 
 namespace levy::obs {
 namespace {
@@ -51,25 +50,24 @@ void emit_line(const progress_snapshot& snap) {
     std::fputs(line.c_str(), stderr);
 }
 
-/// Registry + Monte-Carlo half of a snapshot: everything that does not
+/// Registry half of a snapshot: everything that does not
 /// need the progress-state mutex (so both the locked sampler and the
 /// public entry point can share it without recursive locking).
 progress_snapshot snapshot_counters() {
     progress_snapshot snap;
     const metrics_view view = snapshot_metrics();
-    if (const auto it = view.counters.find(kTrialsPlannedCounter); it != view.counters.end()) {
-        snap.planned = it->second;
-    }
-    if (const auto it = view.counters.find(kTrialsCompletedCounter);
-        it != view.counters.end()) {
-        snap.completed = it->second;
-    }
+    const auto count = [&view](const char* name) -> std::uint64_t {
+        const auto it = view.counters.find(name);
+        return it == view.counters.end() ? 0 : it->second;
+    };
+    snap.planned = count(kTrialsPlannedCounter);
+    snap.completed = count(kTrialsCompletedCounter);
+    snap.censored = count(kRunCensoredCounter);
     const double now = monotonic_seconds();
     if (const auto it = view.gauges.find(kCheckpointFlushGauge); it != view.gauges.end()) {
         snap.checkpoint_age_seconds = now - it->second;
         if (snap.checkpoint_age_seconds < 0.0) snap.checkpoint_age_seconds = 0.0;
     }
-    snap.censored = sim::metrics_snapshot().censored;
     return snap;
 }
 

@@ -61,7 +61,7 @@ void stop_progress();
 /// constructor (one relaxed load when progress is off). Best-effort.
 void note_progress_phase(const char* name) noexcept;
 
-/// Assemble a snapshot from the registry + Monte-Carlo metrics right now.
+/// Assemble a snapshot from the registry right now.
 /// Works with or without the sampler running (the /progress endpoint uses
 /// it on scrape). Cumulative rate; the sampler substitutes a windowed one.
 [[nodiscard]] progress_snapshot snapshot_progress();
@@ -78,6 +78,7 @@ void note_progress_phase(const char* name) noexcept;
 /// exports); centralized so the driver and this reader cannot drift apart.
 inline constexpr const char* kTrialsPlannedCounter = "mc.trials_planned";
 inline constexpr const char* kTrialsCompletedCounter = "mc.trials_completed";
+inline constexpr const char* kRunCensoredCounter = "run.censored";
 inline constexpr const char* kCheckpointFlushGauge = "checkpoint.last_flush_seconds";
 
 }  // namespace levy::obs

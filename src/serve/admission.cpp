@@ -33,15 +33,15 @@ admission_queue::admission_queue(const admission_options& opts) : opts_(opts) {
 admit_result admission_queue::try_admit(int fd) {
     std::lock_guard lk(m_);
     if (shutdown_) {
-        ++counters_.shed_shutdown;
+        shed_shutdown_.add();
         return admit_result::shed_shutdown;
     }
     if (queue_.size() >= opts_.queue_capacity) {
-        ++counters_.shed_queue_full;
+        shed_queue_full_.add();
         return admit_result::shed_queue_full;
     }
     if (reserved_ + opts_.reserved_bytes_per_request > opts_.max_inflight_bytes) {
-        ++counters_.shed_bytes;
+        shed_bytes_.add();
         return admit_result::shed_bytes_exhausted;
     }
     reserved_ += opts_.reserved_bytes_per_request;
@@ -49,7 +49,7 @@ admit_result admission_queue::try_admit(int fd) {
     ticket.fd = fd;
     ticket.sequence = next_sequence_++;
     queue_.push_back(ticket);
-    ++counters_.admitted;
+    admitted_.add();
     cv_.notify_one();
     return admit_result::admitted;
 }
@@ -100,8 +100,8 @@ std::size_t admission_queue::reserved_bytes() const {
 }
 
 admission_queue::counters admission_queue::stats() const {
-    std::lock_guard lk(m_);
-    return counters_;
+    return {admitted_.value(), shed_queue_full_.value(), shed_bytes_.value(),
+            shed_shutdown_.value()};
 }
 
 }  // namespace levy::serve

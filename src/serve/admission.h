@@ -7,6 +7,8 @@
 #include <mutex>
 #include <optional>
 
+#include "src/obs/metrics.h"
+
 namespace levy::serve {
 
 /// --- Admission control: the bounded front door ----------------------------
@@ -86,6 +88,7 @@ public:
     /// Reserved bytes across queued + in-flight requests.
     [[nodiscard]] std::size_t reserved_bytes() const;
 
+    /// Process totals, read from the registry's `serve.admission.*`.
     struct counters {
         std::uint64_t admitted = 0;
         std::uint64_t shed_queue_full = 0;
@@ -106,7 +109,10 @@ private:
     std::deque<admission_ticket> queue_;
     std::size_t reserved_ = 0;  ///< bytes reserved (queued + in-flight)
     std::uint64_t next_sequence_ = 0;
-    counters counters_;
+    obs::counter admitted_ = obs::get_counter("serve.admission.admitted");
+    obs::counter shed_queue_full_ = obs::get_counter("serve.admission.shed_queue_full");
+    obs::counter shed_bytes_ = obs::get_counter("serve.admission.shed_bytes");
+    obs::counter shed_shutdown_ = obs::get_counter("serve.admission.shed_shutdown");
     bool shutdown_ = false;
 };
 

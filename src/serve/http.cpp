@@ -281,52 +281,63 @@ int parse_status_field(const std::string& response) noexcept {
 
 std::optional<std::string> http_get(unsigned short port, const std::string& path,
                                     double timeout_seconds, int* status_out,
+                                    transport_error* error_out,
                                     std::size_t max_response_bytes) {
     if (status_out != nullptr) *status_out = 0;
+    if (error_out != nullptr) *error_out = transport_error::none;
+    const auto fail = [error_out](transport_error why) -> std::optional<std::string> {
+        if (error_out != nullptr) *error_out = why;
+        return std::nullopt;
+    };
+    // A failed send/recv: a lapsed socket timeout, else the peer reset.
+    const auto socket_error = [] {
+        return errno == EAGAIN || errno == EWOULDBLOCK ? transport_error::timeout
+                                                       : transport_error::reset;
+    };
     using clock = std::chrono::steady_clock;
     const auto start = clock::now();
     const int fd = connect_client(port, timeout_seconds);
-    if (fd < 0) return std::nullopt;
+    if (fd < 0) return fail(transport_error::refused);
     const std::string request =
         "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";
     if (!send_all(fd, request)) {
+        const transport_error why = socket_error();
         ::close(fd);
-        return std::nullopt;
+        return fail(why);
     }
     std::string response;
     char buf[4096];
-    bool complete = false;
+    transport_error torn = transport_error::none;  // stays none on an orderly close
     for (;;) {
         // Same total-deadline rule as read_request_head, mirrored client
         // side: each drip of bytes resets a per-recv timer but not this
         // clock, so a slow-loris *server* cannot pin the caller.
         const double elapsed = std::chrono::duration<double>(clock::now() - start).count();
         const double remaining = timeout_seconds - elapsed;
-        if (remaining <= 0.0) break;  // deadline: treat as torn
-        set_recv_timeout(fd, remaining);
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n == 0) {
-            complete = true;  // orderly close: the response is whole
+        if (remaining <= 0.0) {
+            torn = transport_error::timeout;
             break;
         }
+        set_recv_timeout(fd, remaining);
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n == 0) break;  // orderly close: the response is whole
         if (n < 0) {
             if (errno == EINTR) continue;
-            break;  // timeout or error: treat as torn
+            torn = socket_error();
+            break;
         }
         if (response.size() + static_cast<std::size_t>(n) > max_response_bytes) {
-            break;  // oversized response: bounded buffering, like the server
+            torn = transport_error::short_read;  // bounded buffering, like the server
+            break;
         }
         response.append(buf, static_cast<std::size_t>(n));
     }
     ::close(fd);
-    if (!complete || response.compare(0, 9, "HTTP/1.1 ") != 0) {
-        return std::nullopt;
-    }
-    const int status = parse_status_field(response);
-    if (status == 0) return std::nullopt;
-    if (status_out != nullptr) *status_out = status;
+    if (torn != transport_error::none) return fail(torn);
     const std::size_t body = response.find("\r\n\r\n");
-    if (body == std::string::npos) return std::nullopt;
+    const int status = response.compare(0, 9, "HTTP/1.1 ") == 0 ? parse_status_field(response) : 0;
+    if (status == 0 || body == std::string::npos) return fail(transport_error::short_read);
+    if (status_out != nullptr) *status_out = status;
     return response.substr(body + 4);
 }
 

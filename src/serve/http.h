@@ -130,6 +130,16 @@ void send_and_close(int fd, const std::string& bytes, const http_limits& limits)
 /// to play misbehaving clients (stalls, mid-response resets).
 [[nodiscard]] int connect_client(unsigned short port, double timeout_seconds) noexcept;
 
+/// Why http_get got no reply.
+enum class transport_error : std::uint8_t {
+    none,        ///< a reply arrived
+    refused,     ///< the connection could not be made
+    reset,       ///< the peer reset the connection (or vanished mid-send)
+    timeout,     ///< the total deadline or a socket timeout lapsed
+    short_read,  ///< no whole, well-formed response: the peer closed early,
+                 ///< sent a garbage status line, or passed max_response_bytes
+};
+
 /// One blocking GET of `path` against 127.0.0.1:`port` over a fresh
 /// connection. Returns nullopt when unreachable, the response is torn, the
 /// status line is not a well-formed three-digit HTTP/1.1 status, the
@@ -138,11 +148,13 @@ void send_and_close(int fd, const std::string& bytes, const http_limits& limits)
 /// slow-loris rule: a server dripping one byte per recv-timeout window
 /// resets a per-recv timer forever but cannot outlive the total deadline.
 /// `status_out`, when given, receives the numeric status (0 on no reply or
-/// a garbage status line).
+/// a garbage status line); `error_out` receives why there was no reply
+/// (`none` when there was one).
 [[nodiscard]] std::optional<std::string> http_get(unsigned short port,
                                                   const std::string& path,
                                                   double timeout_seconds = 5.0,
                                                   int* status_out = nullptr,
+                                                  transport_error* error_out = nullptr,
                                                   std::size_t max_response_bytes = 1 << 26);
 
 #endif  // LEVY_SERVE_HAVE_POSIX_SOCKETS

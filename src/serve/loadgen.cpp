@@ -1,6 +1,7 @@
 #include "src/serve/loadgen.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -29,6 +30,11 @@ double loadgen_report::percentile_ms(double q) const noexcept {
     return latencies_ms[rank - 1];
 }
 
+std::string loadgen_report::transport_causes() const {
+    return "refused=" + std::to_string(refused) + " reset=" + std::to_string(reset) +
+           " timeout=" + std::to_string(timeout) + " short_read=" + std::to_string(short_read);
+}
+
 loadgen_report run_loadgen(const loadgen_options& opts) {
     LEVY_PRECONDITION(opts.requests >= 1, "loadgen: requests must be >= 1");
     LEVY_PRECONDITION(opts.concurrency >= 1, "loadgen: concurrency must be >= 1");
@@ -39,7 +45,7 @@ loadgen_report run_loadgen(const loadgen_options& opts) {
     std::atomic<std::uint64_t> shed{0};
     std::atomic<std::uint64_t> client_errors{0};
     std::atomic<std::uint64_t> server_errors{0};
-    std::atomic<std::uint64_t> transport_errors{0};
+    std::array<std::atomic<std::uint64_t>, 5> torn{};  // indexed by transport_error
     std::mutex latencies_m;
     std::vector<double> latencies;
     latencies.reserve(opts.requests);
@@ -53,12 +59,13 @@ loadgen_report run_loadgen(const loadgen_options& opts) {
             const std::string& path = opts.paths[i % opts.paths.size()];
             const auto start = clock::now();
             int status = 0;
+            transport_error why = transport_error::none;
             const std::optional<std::string> body =
-                http_get(opts.port, path, opts.timeout_seconds, &status);
+                http_get(opts.port, path, opts.timeout_seconds, &status, &why);
             const double ms =
                 std::chrono::duration<double, std::milli>(clock::now() - start).count();
-            if (!body.has_value() && status == 0) {
-                transport_errors.fetch_add(1);
+            if (!body.has_value()) {
+                torn[static_cast<std::size_t>(why)].fetch_add(1);
                 continue;  // no reply: nothing to time
             }
             local.push_back(ms);
@@ -66,12 +73,10 @@ loadgen_report run_loadgen(const loadgen_options& opts) {
                 ok.fetch_add(1);
             } else if (status == 503) {
                 shed.fetch_add(1);
-            } else if (status >= 500) {
-                server_errors.fetch_add(1);
-            } else if (status >= 400) {
+            } else if (status >= 400 && status < 500) {
                 client_errors.fetch_add(1);
             } else {
-                transport_errors.fetch_add(1);
+                server_errors.fetch_add(1);
             }
         }
         const std::lock_guard<std::mutex> lock(latencies_m);
@@ -94,7 +99,11 @@ loadgen_report run_loadgen(const loadgen_options& opts) {
     report.shed = shed.load();
     report.client_errors = client_errors.load();
     report.server_errors = server_errors.load();
-    report.transport_errors = transport_errors.load();
+    report.refused = torn[static_cast<std::size_t>(transport_error::refused)].load();
+    report.reset = torn[static_cast<std::size_t>(transport_error::reset)].load();
+    report.timeout = torn[static_cast<std::size_t>(transport_error::timeout)].load();
+    report.short_read = torn[static_cast<std::size_t>(transport_error::short_read)].load();
+    report.transport_errors = report.refused + report.reset + report.timeout + report.short_read;
     std::sort(latencies.begin(), latencies.end());
     report.latencies_ms = std::move(latencies);
     return report;

@@ -37,8 +37,15 @@ struct loadgen_report {
     std::uint64_t ok = 0;            ///< 2xx
     std::uint64_t shed = 0;          ///< 503 (the overload contract)
     std::uint64_t client_errors = 0; ///< 4xx
-    std::uint64_t server_errors = 0; ///< non-503 5xx — must be 0 under pure overload
-    std::uint64_t transport_errors = 0;  ///< no/torn HTTP reply
+    /// Non-503 5xx, or a status levyserve never sends (1xx/3xx) — must be
+    /// 0 under pure overload.
+    std::uint64_t server_errors = 0;
+    /// No/torn HTTP reply: the sum of the four causes below.
+    std::uint64_t transport_errors = 0;
+    std::uint64_t refused = 0;
+    std::uint64_t reset = 0;
+    std::uint64_t timeout = 0;
+    std::uint64_t short_read = 0;
     /// Per-request wall latency in milliseconds, sorted ascending
     /// (successful and shed requests both count — shedding is a response).
     std::vector<double> latencies_ms;
@@ -46,6 +53,9 @@ struct loadgen_report {
     /// Nearest-rank percentile of `latencies_ms` (q in [0, 100]); 0 when
     /// no latency was recorded.
     [[nodiscard]] double percentile_ms(double q) const noexcept;
+
+    /// "refused=0 reset=2 timeout=0 short_read=1": transport errors by cause.
+    [[nodiscard]] std::string transport_causes() const;
 };
 
 #if LEVY_SERVE_HAVE_POSIX_SOCKETS

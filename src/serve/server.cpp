@@ -98,15 +98,16 @@ struct server::impl {
     std::thread acceptor;               // levylint:allow(raw-thread) see file header note
     std::vector<std::thread> workers;   // levylint:allow(raw-thread) see file header note
 
-    std::atomic<std::uint64_t> queries{0};
-    std::atomic<std::uint64_t> plans{0};
-    std::atomic<std::uint64_t> exact{0};
-    std::atomic<std::uint64_t> interpolated{0};
-    std::atomic<std::uint64_t> degraded{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> bad_requests{0};
-    std::atomic<std::uint64_t> worker_faults{0};
-    std::atomic<std::uint64_t> head_failures{0};
+    // The /stats counters: obs registry slots, so /metrics exports them too.
+    obs::counter queries = obs::get_counter("serve.queries");
+    obs::counter plans = obs::get_counter("serve.plans");
+    obs::counter exact = obs::get_counter("serve.exact");
+    obs::counter interpolated = obs::get_counter("serve.interpolated");
+    obs::counter degraded = obs::get_counter("serve.degraded");
+    obs::counter cache_hits = obs::get_counter("serve.cache_hits");
+    obs::counter bad_requests = obs::get_counter("serve.bad_requests");
+    obs::counter worker_faults = obs::get_counter("serve.worker_faults");
+    obs::counter head_failures = obs::get_counter("serve.head_failures");
 
     /// Serializes result_cache::save calls: atomic_write_file stages at a
     /// fixed temp path, so two concurrent flushes of the same file would
@@ -195,15 +196,15 @@ void server::maybe_flush_cache() {
 server::stats_snapshot server::stats() const {
     stats_snapshot s;
     s.admission = queue_.stats();
-    s.queries = impl_->queries.load();
-    s.plans = impl_->plans.load();
-    s.exact = impl_->exact.load();
-    s.interpolated = impl_->interpolated.load();
-    s.degraded = impl_->degraded.load();
-    s.cache_hits = impl_->cache_hits.load();
-    s.bad_requests = impl_->bad_requests.load();
-    s.worker_faults = impl_->worker_faults.load();
-    s.head_failures = impl_->head_failures.load();
+    s.queries = impl_->queries.value();
+    s.plans = impl_->plans.value();
+    s.exact = impl_->exact.value();
+    s.interpolated = impl_->interpolated.value();
+    s.degraded = impl_->degraded.value();
+    s.cache_hits = impl_->cache_hits.value();
+    s.bad_requests = impl_->bad_requests.value();
+    s.worker_faults = impl_->worker_faults.value();
+    s.head_failures = impl_->head_failures.value();
     s.cache_entries = cache_.size();
     return s;
 }
@@ -242,7 +243,7 @@ void server::process(const admission_ticket& ticket) {
     http_request req;
     const head_status hs = read_request_head(ticket.fd, opts_.limits, req);
     if (hs != head_status::ok) {
-        impl_->head_failures.fetch_add(1);
+        impl_->head_failures.add();
         if (hs == head_status::closed) {
             ::close(ticket.fd);
             return;
@@ -286,18 +287,18 @@ http_response server::handle(const http_request& req, std::uint64_t sequence) {
     } catch (const std::exception& e) {
         // A crashing handler (including an injected worker fault) answers
         // 500 and leaves the server serving — the levyfault drill's claim.
-        impl_->worker_faults.fetch_add(1);
+        impl_->worker_faults.add();
         return error_response(500, std::string("internal error: ") + e.what());
     }
 }
 
 http_response server::handle_query(const http_request& req, std::uint64_t sequence) {
     sim::fault_before_query(static_cast<std::size_t>(sequence));
-    impl_->queries.fetch_add(1);
+    impl_->queries.add();
 
     // --- Parse + validate (any failure is a 400 naming the parameter) ----
     const auto bad = [this](const std::string& message) {
-        impl_->bad_requests.fetch_add(1);
+        impl_->bad_requests.add();
         return error_response(400, message);
     };
 
@@ -398,7 +399,7 @@ http_response server::handle_query(const http_request& req, std::uint64_t sequen
         doc.set("censored", false);
         cache_.insert(cache_.quantize(alpha, ell, k, budget),
                       cache_value{prop.estimate(), prop.lo, prop.hi, trials});
-        impl_->exact.fetch_add(1);
+        impl_->exact.add();
         maybe_flush_cache();
         return json_response(200, doc);
     }
@@ -413,8 +414,8 @@ http_response server::handle_query(const http_request& req, std::uint64_t sequen
         doc.set("quality", "exact");
         doc.set("cached", true);
         doc.set("censored", false);
-        impl_->exact.fetch_add(1);
-        impl_->cache_hits.fetch_add(1);
+        impl_->exact.add();
+        impl_->cache_hits.add();
         return json_response(200, doc);
     }
 
@@ -428,8 +429,8 @@ http_response server::handle_query(const http_request& req, std::uint64_t sequen
         doc.set("cached", true);
         doc.set("censored", false);
         doc.set("grid_points", interp->grid_points);
-        impl_->interpolated.fetch_add(1);
-        impl_->cache_hits.fetch_add(1);
+        impl_->interpolated.add();
+        impl_->cache_hits.add();
         return json_response(200, doc);
     }
 
@@ -452,14 +453,14 @@ http_response server::handle_query(const http_request& req, std::uint64_t sequen
     doc.set("censored", sample.censored > 0);
     doc.set("censored_trials", sample.censored);
     doc.set("max_steps", max_steps);
-    impl_->degraded.fetch_add(1);
+    impl_->degraded.add();
     return json_response(200, doc);
 }
 
 http_response server::handle_plan(const http_request& req) {
-    impl_->plans.fetch_add(1);
+    impl_->plans.add();
     const auto bad = [this](const std::string& message) {
-        impl_->bad_requests.fetch_add(1);
+        impl_->bad_requests.add();
         return error_response(400, message);
     };
     double k = 0.0;

@@ -125,6 +125,7 @@ public:
         std::uint64_t head_failures = 0;  ///< timeout/too_large/malformed/closed
         std::size_t cache_entries = 0;
     };
+    /// Process totals, read from the registry's `serve.*` (as /metrics is).
     [[nodiscard]] stats_snapshot stats() const;
 
     [[nodiscard]] const serve_options& options() const noexcept { return opts_; }

@@ -20,6 +20,7 @@
 #include "src/core/contracts.h"
 #include "src/obs/metrics.h"
 #include "src/rng/splitmix64.h"
+#include "src/sim/fault.h"
 
 namespace levy::cli {
 
@@ -59,6 +60,10 @@ std::string args::show(double v) {
     std::ostringstream out;
     out << v;
     return out.str();
+}
+
+std::string args::show(std::size_t n) {
+    return n == sim::fault_plan::kNever ? "never" : std::to_string(n);
 }
 
 std::optional<std::string> args::read(std::string_view key, std::string fallback,

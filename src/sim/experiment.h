@@ -110,6 +110,8 @@ private:
     [[nodiscard]] std::string usage() const;
 
     static std::string show(double v);
+    /// "never" for sim::fault_plan::kNever, the drills' "does not fire".
+    static std::string show(std::size_t n);
     template <class T>
     static std::string show(T v) {
         return std::to_string(v);

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "src/obs/metrics.h"
 #include "src/sim/monte_carlo.h"
 
 namespace levy::sim {
@@ -79,12 +80,12 @@ bool fault_on_shard_spill(std::size_t ordinal, std::vector<char>& bytes) noexcep
 }
 
 namespace {
-std::atomic<std::uint64_t> g_dir_fsyncs{0};
+const obs::counter dir_fsyncs = obs::get_counter("checkpoint.dir_fsyncs");
 }  // namespace
 
-void note_dir_fsync() noexcept { g_dir_fsyncs.fetch_add(1, std::memory_order_relaxed); }
+void note_dir_fsync() { dir_fsyncs.add(); }
 
-std::uint64_t dir_fsync_count() noexcept { return g_dir_fsyncs.load(std::memory_order_relaxed); }
+std::uint64_t dir_fsync_count() noexcept { return dir_fsyncs.value(); }
 
 bool fault_on_checkpoint_flush(std::size_t ordinal, std::vector<char>& bytes) noexcept {
     if (!fault_plan_active() || bytes.empty()) return false;

@@ -113,9 +113,9 @@ void fault_before_cache_flush(std::size_t ordinal) noexcept;
 /// Durability observability: atomic_write_file calls note_dir_fsync() after
 /// it has fsynced the parent directory of a rename, and tests read the
 /// running total via dir_fsync_count() to pin the rename-durability rule
-/// (see DESIGN.md §11). Always on — one relaxed atomic increment — so the
-/// regression test does not depend on a fault plan being installed.
-void note_dir_fsync() noexcept;
+/// (see DESIGN.md §11). Always on — the registry counter
+/// `checkpoint.dir_fsyncs` — so the test needs no fault plan installed.
+void note_dir_fsync();
 [[nodiscard]] std::uint64_t dir_fsync_count() noexcept;
 
 }  // namespace levy::sim

@@ -1,21 +1,21 @@
 #include "src/sim/monte_carlo.h"
 
-#include <algorithm>
 #include <atomic>
 #include <thread>
 
 #include "src/obs/metrics.h"
+#include "src/obs/progress.h"
 
 namespace levy::sim {
 namespace {
 
-// Process-wide throughput accumulator. Doubles are accumulated as
-// nanosecond counts so plain atomics suffice.
-std::atomic<std::uint64_t> g_trials{0};
-std::atomic<std::uint64_t> g_wall_ns{0};
-std::atomic<std::uint64_t> g_busy_ns{0};
-std::atomic<unsigned> g_max_workers{0};
-std::atomic<std::uint64_t> g_censored{0};
+// Process-wide throughput totals: obs registry metrics, registered at load
+// so /metrics lists them from the start.
+const obs::counter run_trials = obs::get_counter("run.trials");
+const obs::counter run_censored = obs::get_counter(obs::kRunCensoredCounter);
+const obs::counter run_wall_ns = obs::get_counter("run.wall_ns");
+const obs::counter run_busy_ns = obs::get_counter("run.busy_ns");
+constexpr const char* kMaxWorkersGauge = "run.max_workers";
 
 /// Cooperative cancellation flag; set from signal handlers, so it must be
 /// lock-free (static_assert'd below).
@@ -37,14 +37,11 @@ unsigned resolve_threads(unsigned threads) noexcept {
 
 pool_metrics parallel_for(std::size_t n, unsigned threads,
                           const std::function<void(std::size_t)>& fn, std::size_t chunk) {
-    // Handles are resolved once; add() is a relaxed increment on this
-    // thread's shard, so instrumentation stays off the per-item hot path.
-    static const obs::counter phases = obs::get_counter("mc.phases");
-    static const obs::counter items = obs::get_counter("mc.items");
     const pool_metrics m = thread_pool::instance().run(n, resolve_threads(threads), chunk, fn);
-    record_metrics(m);
-    phases.add();
-    items.add(m.items);
+    run_trials.add(m.items);
+    run_wall_ns.add(to_ns(m.wall_seconds));
+    run_busy_ns.add(to_ns(m.busy_seconds));
+    (void)obs::raise_gauge(kMaxWorkersGauge, m.workers);
     return m;
 }
 
@@ -58,34 +55,18 @@ void throw_if_cancelled() {
     if (cancel_requested()) throw run_cancelled();
 }
 
-void note_censored() noexcept { g_censored.fetch_add(1, std::memory_order_relaxed); }
-
-void record_metrics(const pool_metrics& m) noexcept {
-    g_trials.fetch_add(m.items, std::memory_order_relaxed);
-    g_wall_ns.fetch_add(to_ns(m.wall_seconds), std::memory_order_relaxed);
-    g_busy_ns.fetch_add(to_ns(m.busy_seconds), std::memory_order_relaxed);
-    unsigned seen = g_max_workers.load(std::memory_order_relaxed);
-    while (seen < m.workers &&
-           !g_max_workers.compare_exchange_weak(seen, m.workers, std::memory_order_relaxed)) {
-    }
-}
+void note_censored() { run_censored.add(); }
 
 run_metrics metrics_snapshot() noexcept {
     run_metrics out;
-    out.trials = g_trials.load(std::memory_order_relaxed);
-    out.wall_seconds = static_cast<double>(g_wall_ns.load(std::memory_order_relaxed)) * 1e-9;
-    out.busy_seconds = static_cast<double>(g_busy_ns.load(std::memory_order_relaxed)) * 1e-9;
-    out.max_workers = g_max_workers.load(std::memory_order_relaxed);
-    out.censored = static_cast<std::size_t>(g_censored.load(std::memory_order_relaxed));
+    out.trials = run_trials.value();
+    out.wall_seconds = static_cast<double>(run_wall_ns.value()) * 1e-9;
+    out.busy_seconds = static_cast<double>(run_busy_ns.value()) * 1e-9;
+    out.max_workers = static_cast<unsigned>(obs::raise_gauge(kMaxWorkersGauge, 0));
+    out.censored = run_censored.value();
     return out;
 }
 
-void reset_metrics() noexcept {
-    g_trials.store(0, std::memory_order_relaxed);
-    g_wall_ns.store(0, std::memory_order_relaxed);
-    g_busy_ns.store(0, std::memory_order_relaxed);
-    g_max_workers.store(0, std::memory_order_relaxed);
-    g_censored.store(0, std::memory_order_relaxed);
-}
+void reset_metrics() noexcept { obs::reset_metrics_registry(); }
 
 }  // namespace levy::sim

@@ -51,8 +51,8 @@ struct mc_options {
 /// a shared atomic counter). The first exception thrown by `fn` is rethrown
 /// on the calling thread after the pool drains; remaining chunks are
 /// abandoned. `fn` must be safe to call concurrently for distinct i.
-/// Returns the run's cost metrics (also added to the process throughput
-/// accumulator, see `metrics_snapshot`).
+/// Returns the run's cost metrics (also added to the process run totals,
+/// see `metrics_snapshot`).
 pool_metrics parallel_for(std::size_t n, unsigned threads,
                           const std::function<void(std::size_t)>& fn, std::size_t chunk = 0);
 
@@ -80,8 +80,8 @@ void clear_cancel() noexcept;
 void throw_if_cancelled();
 
 /// Cumulative Monte-Carlo throughput for this process: every `parallel_for`
-/// run adds its cost here, so a bench can print one trials/sec +
-/// utilization line for the whole sweep.
+/// run adds its cost to the registry's `run.*` totals, so a bench can print
+/// one trials/sec + utilization line for the whole sweep.
 struct run_metrics {
     std::size_t trials = 0;
     double wall_seconds = 0.0;
@@ -103,10 +103,11 @@ struct run_metrics {
     }
 };
 
-void record_metrics(const pool_metrics& m) noexcept;
 /// Count one watchdog-censored trial (called from trial runners).
-void note_censored() noexcept;
+void note_censored();
+/// Sums only the run-total slots, never a full registry snapshot.
 [[nodiscard]] run_metrics metrics_snapshot() noexcept;
+/// Zeroes the whole registry (`obs::reset_metrics_registry`), run totals included.
 void reset_metrics() noexcept;
 
 /// Run `opts.trials` independent trials of `trial_fn(trial_index, stream)`

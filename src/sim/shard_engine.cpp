@@ -258,6 +258,10 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
     best_state global;
     std::uint64_t touch_clock = 0;
     std::size_t spill_ordinal = 0;
+    static const obs::counter spills = obs::get_counter("shard.spills");
+    static const obs::counter spill_bytes = obs::get_counter("shard.spill_bytes");
+    static const obs::counter loads = obs::get_counter("shard.loads");
+    static const obs::counter recomputed = obs::get_counter("shard.recomputed");
 
     const auto resident_bytes = [&shards]() {
         std::uint64_t total = 0;
@@ -285,8 +289,8 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
         s.dirty = false;
         ++stats_.spills;
         stats_.spilled_bytes += bytes.size();
-        obs::get_counter("shard.spills").add();
-        obs::get_counter("shard.spill_bytes").add(bytes.size());
+        spills.add();
+        spill_bytes.add(bytes.size());
     };
 
     const auto evict = [&](shard& s) {
@@ -308,7 +312,7 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
             s.resident = true;
             s.dirty = false;
             ++stats_.loads;
-            obs::get_counter("shard.loads").add();
+            loads.add();
             return;
         }
         if (file_exists || s.spawned) {
@@ -316,7 +320,7 @@ parallel_result sharded_walk_engine::run_parallel(std::size_t k,
             // process spilled and can no longer read back — is dropped and
             // this shard alone replays from spawn.
             ++stats_.recomputed;
-            obs::get_counter("shard.recomputed").add();
+            recomputed.add();
         }
         s.block.clear();
         for (std::size_t i = s.lo; i < s.hi; ++i) {

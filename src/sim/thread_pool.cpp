@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/core/contracts.h"
-#include "src/obs/metrics.h"
 
 namespace levy::sim {
 namespace {
@@ -119,12 +118,6 @@ pool_metrics thread_pool::run(std::size_t n, unsigned parallelism, std::size_t c
     pool_metrics metrics;
     metrics.items = n;
     if (n == 0) return metrics;
-    // Once per job, never per item: registry lookups are cached, add() is a
-    // relaxed increment on the caller's shard.
-    static const obs::counter jobs = obs::get_counter("pool.jobs");
-    static const obs::counter pool_items = obs::get_counter("pool.items");
-    jobs.add();
-    pool_items.add(n);
     parallelism = std::clamp(parallelism, 1u, kMaxWorkers);
     if (chunk == 0) chunk = auto_chunk(n, parallelism);
     LEVY_ASSERT(chunk >= 1, "thread_pool: resolved chunk must be >= 1");

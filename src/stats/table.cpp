@@ -67,11 +67,19 @@ void text_table::print(std::ostream& os) const {
     print_line();
     print_cells(header_);
     print_line();
-    for (const auto& r : rows_) {
-        if (r.cells.empty()) {
+    // A separator rules off the data rows before it from the ones after, so
+    // one with no data row on either side would only repeat a border.
+    const auto last_data = std::find_if(rows_.rbegin(), rows_.rend(),
+                                        [](const row& r) { return !r.cells.empty(); });
+    const auto end = last_data.base();  // one past the last data row
+    bool ruled = true;                  // the header's rule was just printed
+    for (auto r = rows_.begin(); r != end; ++r) {
+        if (!r->cells.empty()) {
+            print_cells(r->cells);
+            ruled = false;
+        } else if (!ruled) {
             print_line();
-        } else {
-            print_cells(r.cells);
+            ruled = true;
         }
     }
     print_line();

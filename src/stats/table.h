@@ -22,7 +22,9 @@ public:
     /// Append a row; must have exactly as many cells as the header.
     void add_row(std::vector<std::string> cells);
 
-    /// Append a horizontal separator line.
+    /// Append a horizontal separator line. It prints only between two data
+    /// rows: one after another separator, or before the bottom border (or
+    /// right after the header), would repeat a border and prints nothing.
     void add_separator();
 
     [[nodiscard]] std::size_t rows() const noexcept;

@@ -27,9 +27,11 @@ set(BENCH_ALWAYS ${REPORT} ${TELEMETRY})
 
 set(failures "")
 
-# surface(<exe> [CMD <subcommand>] [FLAGS <flag>...] BAD <arg> [NAMES <flag>])
+# surface(<exe> [CMD <subcommand>] [FLAGS <flag>...] BAD <arg> [NAMES <flag>]
+#         [SHOWS <--flag=default>...])
+# SHOWS: help lines that must read exactly so (flag and shown default).
 function(surface exe)
-  cmake_parse_arguments(S "" "BAD;NAMES" "CMD;FLAGS" ${ARGN})
+  cmake_parse_arguments(S "" "BAD;NAMES" "CMD;FLAGS;SHOWS" ${ARGN})
   set(label "${exe} ${S_CMD}")
   set(path "${BUILD_DIR}/${exe}")
 
@@ -52,6 +54,12 @@ function(surface exe)
     string(REPLACE ";" " " expected "${expected}")
     list(APPEND failures "${label} --help lists [${listed}], expected [${expected}]")
   endif()
+  foreach(shown IN LISTS S_SHOWS)
+    string(FIND "${out}" "\n  ${shown} " at)
+    if(at EQUAL -1)
+      list(APPEND failures "${label} --help does not show ${shown}")
+    endif()
+  endforeach()
 
   if(NOT DEFINED S_NAMES)
     string(REGEX REPLACE "^(--[^=]*).*$" "\\1" S_NAMES "${S_BAD}")
@@ -111,16 +119,19 @@ surface(tools/levysim CMD occupancy BAD --ell=3 FLAGS alpha steps radius)
 surface(tools/levyserve CMD serve BAD --queue-capcity=3
   FLAGS port workers queue-capacity deadline-ms max-deadline-ms steps-per-ms trials seed
         cache cache-capacity cache-flush-every port-file fault-exit-at-cache-flush
-        fault-throw-at-query)
+        fault-throw-at-query
+  SHOWS --fault-exit-at-cache-flush=never --fault-throw-at-query=never)
 surface(tools/levyserve CMD replay BAD --requests=5 FLAGS port out batch count)
 surface(tools/levyserve CMD loadgen BAD --out=x FLAGS port requests concurrency timeout path)
 surface(tools/levyserve CMD selftest BAD --port=1 FLAGS dir)
 
 surface(tools/levyfault CMD run BAD --shards=2
   FLAGS trials seed threads checkpoint checkpoint-interval crash-after cancel-after
-        torn-write short-write max-steps-per-trial out)
+        torn-write short-write max-steps-per-trial out
+  SHOWS --crash-after=never --cancel-after=never --torn-write=never --short-write=never)
 surface(tools/levyfault CMD shardrun BAD --checkpoint=x
-  FLAGS trials seed threads kill-at-spill shards memory-budget spill-dir out)
+  FLAGS trials seed threads kill-at-spill shards memory-budget spill-dir out
+  SHOWS --kill-at-spill=never)
 surface(tools/levyfault CMD selftest BAD --trials=3 FLAGS dir)
 surface(tools/levyfault CMD shards BAD --trials=3 FLAGS dir)
 surface(tools/levyfault CMD serve BAD --dir=x)

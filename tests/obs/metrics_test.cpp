@@ -116,10 +116,55 @@ TEST_F(MetricsTest, ConcurrentIncrementsMergeExactly) {
     }
 }
 
+// value() is the one-slot read behind stats views: it must agree with a
+// full snapshot, and reading while pool workers increment must be
+// race-free (TSan).
+TEST_F(MetricsTest, CounterValueSumsEveryShard) {
+    const counter c = get_counter("test.value");
+    EXPECT_EQ(c.value(), 0u);
+    sim::parallel_for(4096, /*threads=*/4, [&](std::size_t i) {
+        c.add(3);
+        if (i % 512 == 0) {
+            EXPECT_LE(c.value(), 3u * 4096);  // a read racing the increments
+        }
+    });
+    EXPECT_EQ(c.value(), 3u * 4096);
+    EXPECT_EQ(c.value(), snapshot_metrics().counters.at("test.value"));
+}
+
+TEST_F(MetricsTest, RaisedGaugeOnlyRises) {
+    EXPECT_DOUBLE_EQ(raise_gauge("test.high", 3.0), 3.0);
+    EXPECT_DOUBLE_EQ(raise_gauge("test.high", 1.0), 3.0);  // lower: ignored
+    EXPECT_DOUBLE_EQ(raise_gauge("test.high", 0.0), 3.0);  // the read idiom
+    EXPECT_DOUBLE_EQ(raise_gauge("test.high", 5.0), 5.0);
+    EXPECT_DOUBLE_EQ(snapshot_metrics().gauges.at("test.high"), 5.0);
+    reset_metrics_registry();
+    EXPECT_DOUBLE_EQ(raise_gauge("test.high", 0.0), 0.0);
+}
+
+// The run totals behind the throughput line are registry metrics, so
+// /metrics and --json carry them without a second bookkeeping path.
+TEST_F(MetricsTest, RunTotalsAreRegistryMetrics) {
+    sim::parallel_for(100, /*threads=*/2, [](std::size_t) {});
+    sim::parallel_for(20, /*threads=*/1, [](std::size_t) {});
+    const sim::run_metrics run = sim::metrics_snapshot();
+    const metrics_view v = snapshot_metrics();
+    EXPECT_EQ(run.trials, 120u);
+    EXPECT_EQ(v.counters.at("run.trials"), run.trials);
+    EXPECT_EQ(v.counters.at("run.censored"), run.censored);
+    EXPECT_DOUBLE_EQ(static_cast<double>(v.counters.at("run.busy_ns")) * 1e-9,
+                     run.busy_seconds);
+    EXPECT_DOUBLE_EQ(v.gauges.at("run.max_workers"), run.max_workers);
+    EXPECT_GE(run.max_workers, 1u);
+    sim::reset_metrics();
+    EXPECT_EQ(sim::metrics_snapshot().trials, 0u);
+}
+
 TEST_F(MetricsTest, EmptyNameThrows) {
     EXPECT_THROW((void)get_counter(""), std::exception);
     EXPECT_THROW((void)get_histogram("", {}), std::exception);
     EXPECT_THROW(set_gauge("", 0.0), std::exception);
+    EXPECT_THROW((void)raise_gauge("", 0.0), std::exception);
 }
 
 }  // namespace

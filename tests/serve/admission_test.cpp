@@ -3,6 +3,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/serve/admission.h"
 
 namespace levy::serve {
@@ -15,7 +16,14 @@ admission_options small_opts() {
     return opts;
 }
 
-TEST(AdmissionQueue, ShedsWhenQueueIsFull) {
+// The counters behind stats() are process-wide registry counts, so each
+// test starts from a zeroed registry.
+class AdmissionQueue : public ::testing::Test {
+protected:
+    void SetUp() override { obs::reset_metrics_registry(); }
+};
+
+TEST_F(AdmissionQueue, ShedsWhenQueueIsFull) {
     admission_queue q(small_opts());
     EXPECT_EQ(q.try_admit(10), admit_result::admitted);
     EXPECT_EQ(q.try_admit(11), admit_result::admitted);
@@ -29,7 +37,7 @@ TEST(AdmissionQueue, ShedsWhenQueueIsFull) {
     (void)q.drain();
 }
 
-TEST(AdmissionQueue, PopsInAdmissionOrderWithSequences) {
+TEST_F(AdmissionQueue, PopsInAdmissionOrderWithSequences) {
     admission_queue q(small_opts());
     ASSERT_EQ(q.try_admit(21), admit_result::admitted);
     ASSERT_EQ(q.try_admit(22), admit_result::admitted);
@@ -46,7 +54,7 @@ TEST(AdmissionQueue, PopsInAdmissionOrderWithSequences) {
     q.shutdown();
 }
 
-TEST(AdmissionQueue, ByteBudgetShedsBeforeCapacityWhenTighter) {
+TEST_F(AdmissionQueue, ByteBudgetShedsBeforeCapacityWhenTighter) {
     admission_options opts;
     opts.queue_capacity = 8;
     opts.reserved_bytes_per_request = 1024;
@@ -61,7 +69,7 @@ TEST(AdmissionQueue, ByteBudgetShedsBeforeCapacityWhenTighter) {
     (void)q.drain();
 }
 
-TEST(AdmissionQueue, ReleaseReturnsReservationToTheBudget) {
+TEST_F(AdmissionQueue, ReleaseReturnsReservationToTheBudget) {
     admission_options opts;
     opts.queue_capacity = 8;
     opts.reserved_bytes_per_request = 1024;
@@ -80,7 +88,7 @@ TEST(AdmissionQueue, ReleaseReturnsReservationToTheBudget) {
     (void)q.drain();
 }
 
-TEST(AdmissionQueue, ShutdownWakesBlockedPoppersWithNullopt) {
+TEST_F(AdmissionQueue, ShutdownWakesBlockedPoppersWithNullopt) {
     admission_queue q(small_opts());
     std::thread popper([&q] {
         const auto t = q.pop();  // blocks until shutdown
@@ -92,7 +100,7 @@ TEST(AdmissionQueue, ShutdownWakesBlockedPoppersWithNullopt) {
     EXPECT_EQ(q.stats().shed_shutdown, 1u);
 }
 
-TEST(AdmissionQueue, DrainReturnsQueuedNeverPoppedFds) {
+TEST_F(AdmissionQueue, DrainReturnsQueuedNeverPoppedFds) {
     admission_queue q(small_opts());
     ASSERT_EQ(q.try_admit(31), admit_result::admitted);
     ASSERT_EQ(q.try_admit(32), admit_result::admitted);
@@ -104,7 +112,7 @@ TEST(AdmissionQueue, DrainReturnsQueuedNeverPoppedFds) {
     q.release();
 }
 
-TEST(AdmissionQueue, DepthTracksQueuedNotInFlight) {
+TEST_F(AdmissionQueue, DepthTracksQueuedNotInFlight) {
     admission_queue q(small_opts());
     EXPECT_EQ(q.depth(), 0u);
     ASSERT_EQ(q.try_admit(41), admit_result::admitted);
@@ -118,7 +126,7 @@ TEST(AdmissionQueue, DepthTracksQueuedNotInFlight) {
     (void)q.drain();
 }
 
-TEST(AdmissionQueue, AdmitResultNamesAreStable) {
+TEST_F(AdmissionQueue, AdmitResultNamesAreStable) {
     EXPECT_STREQ(admit_result_name(admit_result::admitted), "admitted");
     EXPECT_STREQ(admit_result_name(admit_result::shed_queue_full), "shed_queue_full");
     EXPECT_STREQ(admit_result_name(admit_result::shed_bytes_exhausted),

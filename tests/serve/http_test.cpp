@@ -242,10 +242,12 @@ TEST(HttpGetClient, OversizedResponseIsBoundedNotBuffered) {
         (void)send_all(client, "HTTP/1.1 200 OK\r\n\r\n" + std::string(1 << 16, 'z'));
     });
     int status = -1;
-    const auto body = http_get(server.port(), "/", /*timeout_seconds=*/2.0, &status,
+    transport_error why = transport_error::none;
+    const auto body = http_get(server.port(), "/", /*timeout_seconds=*/2.0, &status, &why,
                                /*max_response_bytes=*/1024);
     EXPECT_FALSE(body.has_value());
     EXPECT_EQ(status, 0);
+    EXPECT_EQ(why, transport_error::short_read);
 }
 
 // The atoi regression: a garbage status field used to parse as "status 0"
@@ -280,6 +282,60 @@ TEST(HttpGetClient, WellFormedErrorStatusStillParses) {
     ASSERT_TRUE(body.has_value());
     EXPECT_EQ(*body, "oops");
     EXPECT_EQ(status, 404);
+}
+
+// Every way of getting no reply names its cause, so a load test that sees
+// transport errors says which one occurred.
+TEST(HttpGetCause, ClosedPortIsRefused) {
+    const auto [fd, port] = listen_on(0);
+    ::close(fd);  // nothing listens on the port any more
+    transport_error why = transport_error::none;
+    EXPECT_FALSE(http_get(port, "/", 2.0, nullptr, &why).has_value());
+    EXPECT_EQ(why, transport_error::refused);
+}
+
+TEST(HttpGetCause, ResettingListenerIsReset) {
+    one_shot_server server([](int client) {
+        drain_request(client);
+        const linger abort_on_close{1, 0};  // close() then sends an RST
+        ::setsockopt(client, SOL_SOCKET, SO_LINGER, &abort_on_close, sizeof(abort_on_close));
+    });
+    transport_error why = transport_error::none;
+    EXPECT_FALSE(http_get(server.port(), "/", 2.0, nullptr, &why).has_value());
+    EXPECT_EQ(why, transport_error::reset);
+}
+
+TEST(HttpGetCause, SilentListenerIsTimeout) {
+    one_shot_server server([](int client) {
+        drain_request(client);
+        char buf[64];
+        while (::recv(client, buf, sizeof(buf), 0) > 0) {
+        }  // never answers; returns once the client hangs up
+    });
+    transport_error why = transport_error::none;
+    EXPECT_FALSE(http_get(server.port(), "/", /*timeout_seconds=*/0.3, nullptr, &why)
+                     .has_value());
+    EXPECT_EQ(why, transport_error::timeout);
+}
+
+TEST(HttpGetCause, PartialStatusLineThenCloseIsShortRead) {
+    one_shot_server server([](int client) {
+        drain_request(client);
+        (void)send_all(client, "HTTP/1.1 2");
+    });
+    transport_error why = transport_error::none;
+    EXPECT_FALSE(http_get(server.port(), "/", 2.0, nullptr, &why).has_value());
+    EXPECT_EQ(why, transport_error::short_read);
+}
+
+TEST(HttpGetCause, ReplyLeavesTheCauseNone) {
+    one_shot_server server([](int client) {
+        drain_request(client);
+        (void)send_all(client, "HTTP/1.1 200 OK\r\n\r\nfine");
+    });
+    transport_error why = transport_error::reset;
+    EXPECT_EQ(http_get(server.port(), "/", 2.0, nullptr, &why), "fine");
+    EXPECT_EQ(why, transport_error::none);
 }
 
 #endif  // LEVY_SERVE_HAVE_POSIX_SOCKETS

@@ -6,7 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/json.h"
+#include "src/obs/metrics.h"
 #include "src/serve/server.h"
+#include "src/sim/fault.h"
 
 #if LEVY_SERVE_HAVE_POSIX_SOCKETS
 #include <sys/socket.h>
@@ -41,7 +44,18 @@ bool body_has(const http_response& resp, const std::string& needle) {
     return resp.body.find(needle) != std::string::npos;
 }
 
-class ServerHandleTest : public ::testing::Test {
+// stats() reads process-wide registry counts, so every test starts from a
+// zeroed registry.
+class fresh_registry : public ::testing::Test {
+protected:
+    void SetUp() override { obs::reset_metrics_registry(); }
+};
+using ServerRestart = fresh_registry;
+using ServerLifecycle = fresh_registry;
+using ServerOverload = fresh_registry;
+using ServerOneSource = fresh_registry;
+
+class ServerHandleTest : public fresh_registry {
 protected:
     // handle() is the socket-free worker entry point; no start() needed.
     server srv{fast_opts()};
@@ -158,7 +172,7 @@ TEST_F(ServerHandleTest, SeedParameterSelectsTheStream) {
 // The determinism contract behind the kill -9 selftest, in-process: same
 // query + same server config + same persisted cache => same bytes, across
 // a full save/destroy/reload cycle.
-TEST(ServerRestart, AnswersAreByteIdenticalAcrossCacheReload) {
+TEST_F(ServerRestart, AnswersAreByteIdenticalAcrossCacheReload) {
     const std::string path = scratch_path("server_restart_cache.bin");
     std::remove(path.c_str());
     serve_options opts = fast_opts();
@@ -186,7 +200,7 @@ TEST(ServerRestart, AnswersAreByteIdenticalAcrossCacheReload) {
     std::remove(path.c_str());
 }
 
-TEST(ServerLifecycle, StartServesOverRealSocketsAndStopsIdempotently) {
+TEST_F(ServerLifecycle, StartServesOverRealSocketsAndStopsIdempotently) {
     serve_options opts = fast_opts();
     opts.workers = 2;
     server srv(opts);
@@ -223,7 +237,7 @@ std::string read_to_eof(int fd) {
 // a complete 503. Closing a socket whose request bytes were never read makes
 // the kernel answer with an RST, and the RST can destroy the 503 before the
 // client reads it — E23's "transport errors" under overload.
-TEST(ServerOverload, ShedClientsThatSentARequestReadAComplete503) {
+TEST_F(ServerOverload, ShedClientsThatSentARequestReadAComplete503) {
     serve_options opts = fast_opts();
     opts.queue_capacity = 1;
     opts.limits.head_deadline_seconds = 30.0;
@@ -261,6 +275,77 @@ TEST(ServerOverload, ShedClientsThatSentARequestReadAComplete503) {
     EXPECT_EQ(srv.stats().admission.admitted, 2u);
     for (const int fd : silent) ::close(fd);
     srv.stop();
+}
+
+/// The value of exposition line `name` in a /metrics body (-1 if absent).
+double metric_line(const std::string& text, const std::string& name) {
+    const std::string key = "\n" + name + " ";
+    const std::size_t at = ("\n" + text).find(key);
+    if (at == std::string::npos) return -1.0;
+    return std::stod(text.substr(at + key.size() - 1));
+}
+
+// /stats is a view over the registry that /metrics exports: after one of
+// every kind of request, each /stats counter equals its /metrics line.
+TEST_F(ServerOneSource, EveryStatsCounterEqualsItsMetricsLine) {
+    serve_options opts = fast_opts();
+    opts.queue_capacity = 1;
+    opts.limits.head_deadline_seconds = 30.0;
+    opts.limits.io_timeout_seconds = 30.0;
+    server srv(opts);
+    const unsigned short port = srv.start();
+    // Shed: a silent client holds the lone worker, a second fills the
+    // queue, so the next connection is shed at the front door.
+    std::vector<int> silent;
+    for (int i = 0; i < 200 && srv.stats().admission.admitted < 2; ++i) {
+        silent.push_back(connect_client(port, 5.0));
+        ::usleep(10'000);
+    }
+    ASSERT_EQ(srv.stats().admission.admitted, 2u);
+    int status = 0;
+    (void)http_get(port, "/healthz", 5.0, &status);
+    EXPECT_EQ(status, 503);
+    for (const int fd : silent) ::close(fd);  // two head failures
+    srv.stop();
+
+    std::uint64_t seq = 100;
+    const auto ask = [&](const std::string& q) { return srv.handle(get(q), seq++).status; };
+    const std::string q = "/query?alpha=2.5&ell=8&k=2&budget=500&trials=32";
+    EXPECT_EQ(ask(q), 200);                                   // exact
+    EXPECT_EQ(ask(q + "&deadline_ms=1"), 200);                // cached
+    EXPECT_EQ(ask("/query?alpha=2.53125&ell=8&k=2&budget=500&trials=32"), 200);
+    EXPECT_EQ(ask("/query?alpha=2.515&ell=8&k=2&budget=470&trials=32&deadline_ms=1"),
+              200);                                           // interpolated
+    EXPECT_EQ(ask("/query?alpha=2.5&ell=64&k=2&budget=100000&trials=1000&deadline_ms=1"),
+              200);                                           // degraded
+    EXPECT_EQ(ask("/plan?k=64&ell=1000"), 200);
+    EXPECT_EQ(ask("/query?ell=8"), 400);                      // bad request
+    sim::fault_plan plan;
+    plan.throw_at_query = seq;
+    sim::install_fault_plan(plan);
+    EXPECT_EQ(ask(q), 500);                                   // worker fault
+    sim::clear_fault_plan();
+
+    const http_response stats = srv.handle(get("/stats"), seq++);
+    const http_response metrics = srv.handle(get("/metrics"), seq++);
+    ASSERT_EQ(stats.status, 200);
+    ASSERT_EQ(metrics.status, 200);
+    const obs::json doc = obs::json::parse(stats.body);
+    const obs::json& admission = doc.at("admission");
+    for (const char* key : {"admitted", "shed_queue_full", "shed_bytes", "shed_shutdown"}) {
+        EXPECT_EQ(admission.at(key).as_number(),
+                  metric_line(metrics.body,
+                              std::string("levy_serve_admission_") + key + "_total"))
+            << key;
+    }
+    for (const char* key : {"queries", "plans", "exact", "interpolated", "degraded",
+                            "cache_hits", "bad_requests", "worker_faults", "head_failures"}) {
+        EXPECT_EQ(doc.at(key).as_number(),
+                  metric_line(metrics.body, std::string("levy_serve_") + key + "_total"))
+            << key;
+        EXPECT_GT(doc.at(key).as_number(), 0.0) << key;  // every kind was exercised
+    }
+    EXPECT_GE(admission.at("shed_queue_full").as_number(), 1.0);
 }
 
 TEST(ServerOptions, ConstructorRejectsDegenerateConfigs) {

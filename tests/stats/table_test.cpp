@@ -34,6 +34,30 @@ TEST(TextTable, SeparatorRendersLine) {
     EXPECT_EQ(ruled, 4);
 }
 
+// A separator with no data row on one side would only repeat a border:
+// trailing (after the last group), doubled, or leading separators print
+// nothing, so the table never shows two identical rule lines in a row.
+TEST(TextTable, RedundantSeparatorsPrintNothing) {
+    text_table t({"x"});
+    t.add_separator();  // right after the header's rule
+    t.add_row({"1"});
+    t.add_separator();
+    t.add_separator();  // doubled
+    t.add_row({"2"});
+    t.add_separator();  // before the bottom border
+    std::ostringstream ss;
+    t.print(ss);
+    EXPECT_EQ(ss.str(),
+              "+---+\n"
+              "| x |\n"
+              "+---+\n"
+              "| 1 |\n"
+              "+---+\n"
+              "| 2 |\n"
+              "+---+\n");
+    EXPECT_EQ(t.cell_rows().size(), 2u);
+}
+
 TEST(TextTable, RejectsMismatchedRow) {
     text_table t({"a", "b"});
     EXPECT_THROW(t.add_row({"only one"}), std::invalid_argument);

@@ -16,8 +16,9 @@
 //
 //   levyserve loadgen --port=P
 //       Closed-loop load (src/serve/loadgen.h); prints key=value counters
-//       and p50/p95/p99 latency. Exit 0 iff no non-503 5xx and no
-//       transport errors.
+//       and p50/p95/p99 latency; transport errors are broken down by
+//       cause (refused, reset, timeout, short read). Exit 0 iff no
+//       non-503 5xx and no transport errors.
 //
 //   levyserve selftest
 //       Spawns itself end to end: populate the result cache with exact
@@ -194,7 +195,9 @@ int cmd_loadgen(cli::args& args) {
               << "shed=" << report.shed << "\n"
               << "client_errors=" << report.client_errors << "\n"
               << "server_errors=" << report.server_errors << "\n"
-              << "transport_errors=" << report.transport_errors << "\n"
+              << "transport_errors=" << report.transport_errors;
+    if (report.transport_errors != 0) std::cout << " (" << report.transport_causes() << ")";
+    std::cout << "\n"
               << "p50_ms=" << report.percentile_ms(50) << "\n"
               << "p95_ms=" << report.percentile_ms(95) << "\n"
               << "p99_ms=" << report.percentile_ms(99) << "\n";
